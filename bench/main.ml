@@ -13,6 +13,7 @@
      dune exec bench/main.exe -- recovery -- lib/recovery lease-wrapper overhead only
      dune exec bench/main.exe -- shootout -- cross-backend shootout only
      dune exec bench/main.exe -- --csv    -- also write results/<id>_<n>.csv
+     dune exec bench/main.exe -- obs --rebaseline -- record bench/obs_baseline.json
 
    The modelcheck bench additionally writes BENCH_modelcheck.json (one
    JSON line per configuration: paths, states, pruning counters,
@@ -20,7 +21,7 @@
    instrumented ns/cycle and their ratio) and fails if the ratio
    regresses to more than 2x the recorded bench/obs_baseline.json.
    The trace bench ("trace") does the same for the structural flight
-   recorder — BENCH_trace.json, gated at 2x
+   recorder — BENCH_trace.json, gated at 1.5x
    bench/trace_baseline.json.
    The recovery bench ("recovery") writes BENCH_recovery.json (bare vs
    lease-wrapped ns/cycle plus deterministic simulated reclamation
@@ -50,13 +51,40 @@
    The trend bench ("trend") runs obs + server gated plus the
    shootout and chaos (smoke quota) and appends one timestamped JSON
    line combining the payloads to BENCH_history.jsonl, the cross-run
-   log consumed by the CLI's [observe diff]. *)
+   log consumed by the CLI's [observe diff].
+
+   Every gate fails closed: a missing or unreadable baseline fails it
+   (the message names the file), as does a non-finite measurement.
+   [--rebaseline] records the measured value as the new baseline
+   instead of gating, and refuses a non-finite one.  All paths —
+   baselines, BENCH_*.json, BENCH_history.jsonl, results/ — resolve
+   from the checkout root, the parent of the _build directory this
+   executable sits in, whatever the working directory.  An unknown id
+   is a failure (exit 1). *)
 
 open Shared_mem
 module Split = Renaming.Split
 module Filter = Renaming.Filter
 module Ma = Renaming.Ma
 module Pipeline = Renaming.Pipeline
+
+(* ----- where results and baselines live (see the header) ----- *)
+
+let root =
+  match Stats.Bench.find_root Sys.executable_name with
+  | Some root -> root
+  | None ->
+      Printf.eprintf "bench: no _build directory above %s; cannot locate the checkout root\n"
+        Sys.executable_name;
+      exit 1
+
+let at rel = Filename.concat root rel
+
+let write_result name json =
+  Stats.Bench.write_file (at name) json;
+  Printf.printf "wrote %s\n" (at name)
+
+let gate = Stats.Bench.gate ~dir:(at "bench")
 
 (* ----- B1–B4: wall-clock get/release cycles (solo, sequential store) ----- *)
 
@@ -209,15 +237,15 @@ let pf_mutex_builder ~cycles () : Sim.Model_check.config =
 
 let run_modelcheck_bench () =
   print_endline "\n=== Model checker (sleep-set POR + state cache) ===";
-  let oc = open_out "BENCH_modelcheck.json" in
+  let buf = Buffer.create 1024 in
   let tbl =
     Stats.table
       [ "config"; "paths"; "states"; "sleep-pruned"; "cache-pruned"; "complete"; "paths/s" ]
   in
   let run label options builder =
     let rep = Sim.Model_check.check ~options builder in
-    output_string oc (Sim.Model_check.report_json ~label rep);
-    output_char oc '\n';
+    Buffer.add_string buf (Sim.Model_check.report_json ~label rep);
+    Buffer.add_char buf '\n';
     let o = rep.outcome and s = rep.stats in
     Stats.add_row tbl
       [
@@ -237,9 +265,8 @@ let run_modelcheck_bench () =
   run "splitter_l2_reduced" reduced (splitter_builder ~procs:2 ~cycles:1);
   run "splitter_l3_reduced" reduced (splitter_builder ~procs:3 ~cycles:1);
   run "pf_mutex_reduced" reduced (pf_mutex_builder ~cycles:2);
-  close_out oc;
   Stats.print tbl;
-  print_endline "wrote BENCH_modelcheck.json"
+  write_result "BENCH_modelcheck.json" (Buffer.contents buf)
 
 (* ----- lib/obs instrumentation overhead ----- *)
 
@@ -281,35 +308,6 @@ let measure_direct_ns ~reps ~iters thunk =
     if ns < !best then best := ns
   done;
   !best
-
-(* The recorded overhead ratio this machine class is expected to stay
-   within 2x of; regenerate with [bench obs --rebaseline]. *)
-let baseline_path = "bench/obs_baseline.json"
-
-let read_baseline_key baseline_path key =
-  match open_in baseline_path with
-  | exception Sys_error _ -> None
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      let rec find i =
-        if i + String.length key > String.length s then None
-        else if String.sub s i (String.length key) = key then begin
-          let j = ref (i + String.length key) in
-          let start = !j in
-          while
-            !j < String.length s && (match s.[!j] with '0' .. '9' | '.' | ' ' -> true | _ -> false)
-          do
-            incr j
-          done;
-          float_of_string_opt (String.trim (String.sub s start (!j - start)))
-        end
-        else find (i + 1)
-      in
-      find 0
-
-let read_baseline_from baseline_path = read_baseline_key baseline_path "\"overhead\":"
 
 let run_obs_bench ~smoke ~rebaseline () =
   Printf.printf
@@ -409,38 +407,14 @@ let run_obs_bench ~smoke ~rebaseline () =
       "{\"id\":\"obs\",\"smoke\":%b,\"bare_ns\":%.1f,\"instrumented_ns\":%.1f,\"overhead\":%.3f,\"journeyed_ns\":%.1f,\"journey_overhead\":%.3f,\"sampler_ticks\":%d}\n"
       smoke bare_ns inst_ns overhead journey_ns journey_overhead ticks
   in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_obs.json";
-  if rebaseline then begin
-    let oc = open_out baseline_path in
-    Printf.fprintf oc "{\"id\":\"obs_baseline\",\"overhead\":%.3f}\n" overhead;
-    close_out oc;
-    Printf.printf "recorded new baseline %.3fx in %s\n" overhead baseline_path;
-    true
-  end
-  else
-    match read_baseline_from baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" baseline_path;
-        true
-    | Some base ->
-        (* full runs also enforce the absolute 2x ceiling from the
-           telemetry SLO; smoke quotas are too noisy for an absolute
-           bound, so they gate relative to the baseline only *)
-        let ceiling = if smoke then 2.0 *. base else Float.min 2.0 (2.0 *. base) in
-        let ok = Float.is_nan overhead || overhead <= ceiling in
-        Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base ceiling
-          (if ok then "OK" else "REGRESSED");
-        ok
+  write_result "BENCH_obs.json" json;
+  (* full runs also enforce the absolute 2x ceiling from the telemetry
+     SLO; smoke quotas are too noisy for an absolute bound, so they
+     gate relative to the baseline only *)
+  gate ?cap:(if smoke then None else Some 2.0) ~rebaseline ~id:"obs" ~key:"overhead"
+    Stats.Bench.At_most ~factor:2.0 overhead
 
 (* ----- flight-recorder overhead ----- *)
-
-(* The recorded flight-recorder overhead ratio this machine class is
-   expected to stay within 1.5x of; regenerate with
-   [bench trace --rebaseline]. *)
-let trace_baseline_path = "bench/trace_baseline.json"
 
 let run_trace_bench ~smoke ~rebaseline () =
   Printf.printf "\n=== flight-recorder overhead (split k=8, sequential store)%s ===\n"
@@ -481,35 +455,12 @@ let run_trace_bench ~smoke ~rebaseline () =
       "{\"id\":\"trace\",\"smoke\":%b,\"bare_ns\":%.1f,\"traced_ns\":%.1f,\"overhead\":%.3f}\n"
       smoke bare_ns traced_ns overhead
   in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_trace.json";
-  if rebaseline then begin
-    let oc = open_out trace_baseline_path in
-    Printf.fprintf oc "{\"id\":\"trace_baseline\",\"overhead\":%.3f}\n" overhead;
-    close_out oc;
-    Printf.printf "recorded new baseline %.3fx in %s\n" overhead trace_baseline_path;
-    true
-  end
-  else
-    match read_baseline_from trace_baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" trace_baseline_path;
-        true
-    | Some base ->
-        (* the raw-arena record path pays for a tighter gate: 1.5x of
-           the recorded baseline, down from the pre-paydown 2x *)
-        let ok = Float.is_nan overhead || overhead <= 1.5 *. base in
-        Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base (1.5 *. base)
-          (if ok then "OK" else "REGRESSED");
-        ok
+  write_result "BENCH_trace.json" json;
+  (* the raw-arena record path pays for a tighter gate: 1.5x of the
+     recorded baseline, down from the pre-paydown 2x *)
+  gate ~rebaseline ~id:"trace" ~key:"overhead" Stats.Bench.At_most ~factor:1.5 overhead
 
 (* ----- lib/recovery wrapper overhead + reclamation latency ----- *)
-
-(* The recorded wrapper overhead ratio the gate allows 1.5x of;
-   regenerate with [bench recovery --rebaseline]. *)
-let recovery_baseline_path = "bench/recovery_baseline.json"
 
 (* Deterministic simulated reclamation latency: 2-process split under
    the recovery wrapper, round-robin schedule, the first process
@@ -630,36 +581,10 @@ let run_recovery_bench ~smoke ~rebaseline () =
             (fun (ttl, steps) -> Printf.sprintf "\"ttl%d\":%d" ttl steps)
             latencies))
   in
-  let oc = open_out "BENCH_recovery.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_recovery.json";
-  if rebaseline then begin
-    let oc = open_out recovery_baseline_path in
-    Printf.fprintf oc "{\"id\":\"recovery_baseline\",\"overhead\":%.3f}\n" overhead;
-    close_out oc;
-    Printf.printf "recorded new baseline %.3fx in %s\n" overhead recovery_baseline_path;
-    true
-  end
-  else
-    match read_baseline_from recovery_baseline_path with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" recovery_baseline_path;
-        true
-    | Some base ->
-        let ok = Float.is_nan overhead || overhead <= 1.5 *. base in
-        Printf.printf "baseline      : %8.2fx (gate: <= %.2fx) -> %s\n" base (1.5 *. base)
-          (if ok then "OK" else "REGRESSED");
-        ok
+  write_result "BENCH_recovery.json" json;
+  gate ~rebaseline ~id:"recovery" ~key:"overhead" Stats.Bench.At_most ~factor:1.5 overhead
 
 (* ----- name server under churn ----- *)
-
-(* Sustained acquire/release throughput this machine class must stay
-   within 0.4x of; regenerate with [bench server --rebaseline].  The
-   generous factor absorbs CI-runner noise — the gate is for
-   order-of-magnitude collapses (a lost batch path, an accidental
-   global lock), not jitter. *)
-let server_baseline_path = "bench/server_baseline.json"
 
 (* Ping the same cells from [n] domains: adjacent boxed atomics share
    cache lines, Pad-spaced ones do not.  The delta is the satellite
@@ -773,10 +698,7 @@ let run_server_bench ~smoke ~rebaseline () =
       journey_overhead jsnap.Obs.Journey.completed jsnap.Obs.Journey.flagged
       (junexplained <> None)
   in
-  let oc = open_out "BENCH_server.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_server.json";
+  write_result "BENCH_server.json" json;
   let correct =
     r.violations = 0 && r.leaked = 0 && report.Churn.warm_hits > 0 && warm.p100 = 0
     && cold.mean > 0.
@@ -785,9 +707,7 @@ let run_server_bench ~smoke ~rebaseline () =
     && junexplained = None
   in
   let journey_gate = if smoke then 1.6 else 1.15 in
-  let journey_ok =
-    Float.is_nan journey_overhead || journey_overhead <= journey_gate
-  in
+  let journey_ok = journey_overhead <= journey_gate in
   if not journey_ok then
     Printf.printf "journey gate  : FAILED (%.2fx > %.2fx throughput tax)\n"
       journey_overhead journey_gate;
@@ -798,29 +718,14 @@ let run_server_bench ~smoke ~rebaseline () =
     false
   end
   else if not journey_ok then false
-  else if rebaseline then begin
-    let oc = open_out server_baseline_path in
-    Printf.fprintf oc "{\"id\":\"server_baseline\",\"acquires_per_sec\":%.0f}\n"
-      report.Churn.throughput;
-    close_out oc;
-    Printf.printf "recorded new baseline %.0f acquires/sec in %s\n"
-      report.Churn.throughput server_baseline_path;
-    true
-  end
   else
-    match read_baseline_key server_baseline_path "\"acquires_per_sec\":" with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" server_baseline_path;
-        true
-    | Some base ->
-        (* full runs must hold 0.9x of the telemetry-on baseline;
-           smoke runs are too short for a tight throughput bound *)
-        let floor = if smoke then 0.4 *. base else 0.9 *. base in
-        let ok = report.Churn.throughput >= floor in
-        Printf.printf "baseline      : %8.0f acquires/sec (gate: >= %.0f) -> %s\n" base
-          floor
-          (if ok then "OK" else "REGRESSED");
-        ok
+    (* full runs must hold 0.9x of the telemetry-on baseline; smoke runs
+       are too short for a tight throughput bound, and their generous
+       0.4x absorbs CI-runner noise — the gate is for order-of-magnitude
+       collapses (a lost batch path, an accidental global lock) *)
+    gate ~rebaseline ~id:"server" ~key:"acquires_per_sec" Stats.Bench.At_least
+      ~factor:(if smoke then 0.4 else 0.9)
+      report.Churn.throughput
 
 (* ----- chaos: availability under the fault campaign ----- *)
 
@@ -829,8 +734,6 @@ let run_server_bench ~smoke ~rebaseline () =
    availability holds to within 0.9x of it with every fault plan
    firing.  The warm path must stay at zero shared accesses in the
    clean run — resilience must not tax the fast path. *)
-let chaos_baseline_path = "bench/chaos_baseline.json"
-
 let run_chaos_bench ~smoke ~rebaseline () =
   let seeds =
     List.filteri (fun i _ -> i < if smoke then 4 else 32) Campaign.default_seeds
@@ -886,10 +789,7 @@ let run_chaos_bench ~smoke ~rebaseline () =
       smoke (List.length seeds) requests (List.length outcomes) matrix_ok deaths
       worst_reclaim clean_avail warm_p100 clean_unexplained avail
   in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_chaos.json";
+  write_result "BENCH_chaos.json" json;
   if warm_p100 <> 0 then begin
     Printf.printf "warm path     : FAILED (%d shared accesses on a warm grant)\n"
       warm_p100;
@@ -901,26 +801,7 @@ let run_chaos_bench ~smoke ~rebaseline () =
     false
   end
   else if not matrix_ok then false
-  else if rebaseline then begin
-    let oc = open_out chaos_baseline_path in
-    Printf.fprintf oc "{\"id\":\"chaos_baseline\",\"availability\":%.4f}\n" avail;
-    close_out oc;
-    Printf.printf "recorded new baseline %.4f availability in %s\n" avail
-      chaos_baseline_path;
-    true
-  end
-  else
-    match read_baseline_key chaos_baseline_path "\"availability\":" with
-    | None ->
-        Printf.printf "no %s; skipping the regression gate\n" chaos_baseline_path;
-        true
-    | Some base ->
-        let floor = 0.9 *. base in
-        let ok = avail >= floor in
-        Printf.printf "baseline      : %8.4f availability (gate: >= %.4f) -> %s\n"
-          base floor
-          (if ok then "OK" else "REGRESSED");
-        ok
+  else gate ~rebaseline ~id:"chaos" ~key:"availability" Stats.Bench.At_least ~factor:0.9 avail
 
 (* ----- cross-backend shootout ----- *)
 
@@ -1119,10 +1000,7 @@ let run_backends_bench ~smoke () =
       smoke k s (List.length seeds) cycles worst_get best_warm
       (String.concat "," (List.map row_json rows))
   in
-  let oc = open_out "BENCH_backends.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "wrote BENCH_backends.json";
+  write_result "BENCH_backends.json" json;
   let bad =
     List.filter (fun r -> r.b_violations > 0 || r.b_truncated > 0) rows
   in
@@ -1140,16 +1018,7 @@ let run_backends_bench ~smoke () =
    BENCH_history.jsonl.  [observe diff] in the CLI compares the last
    two entries and fails on regression beyond tolerance — the history
    file is the cross-run memory the per-run gates don't have. *)
-let history_path = "BENCH_history.jsonl"
-
-let read_file path =
-  match open_in path with
-  | exception Sys_error _ -> None
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Some (String.trim s)
+let history_path = at "BENCH_history.jsonl"
 
 let run_trend_bench ~smoke ~rebaseline () =
   let obs_ok = run_obs_bench ~smoke ~rebaseline () in
@@ -1163,8 +1032,8 @@ let run_trend_bench ~smoke ~rebaseline () =
      matrix, not wall-clock, and four seeds bound the tail well enough
      for the cross-run diff *)
   let chaos_ok = run_chaos_bench ~smoke:true ~rebaseline () in
-  let entry key path =
-    match read_file path with
+  let entry key name =
+    match Option.map String.trim (Stats.Bench.read_file (at name)) with
     | Some line when line <> "" -> Printf.sprintf "%S:%s" key line
     | Some _ | None -> Printf.sprintf "%S:null" key
   in
@@ -1190,14 +1059,13 @@ let run_trend_bench ~smoke ~rebaseline () =
 (* ----- driver ----- *)
 
 let write_csvs (r : Experiments.report) =
-  (try Sys.mkdir "results" 0o755 with Sys_error _ -> ());
+  let dir = at "results" in
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   List.iteri
     (fun i (_, tbl) ->
-      let path = Printf.sprintf "results/%s_%d.csv" r.id i in
-      let oc = open_out path in
-      output_string oc (Stats.to_csv tbl);
-      output_char oc '\n';
-      close_out oc)
+      Stats.Bench.write_file
+        (Filename.concat dir (Printf.sprintf "%s_%d.csv" r.id i))
+        (Stats.to_csv tbl ^ "\n"))
     r.tables
 
 let () =
@@ -1245,7 +1113,8 @@ let () =
         match Experiments.find id with
         | None ->
             Printf.eprintf "unknown experiment %S (known: e1..e12, wall, modelcheck, obs, trace, recovery, server, chaos, shootout, trend)\n"
-              id
+              id;
+            incr failures
         | Some run ->
             let r = run () in
             Format.printf "%a" Experiments.pp_report r;

@@ -481,47 +481,6 @@ let observe protocol k s procs cycles seed ndomains format metrics_file mutant =
 
 (* ----- observe diff ----- *)
 
-(* Crude scan for the first number following [key] in [s] — the same
-   reader discipline the bench baselines use, so the trend log needs
-   no JSON parser dependency. *)
-let scan_float_key s key =
-  let rec find i =
-    if i + String.length key > String.length s then None
-    else if String.sub s i (String.length key) = key then begin
-      let j = ref (i + String.length key) in
-      let start = !j in
-      while
-        !j < String.length s
-        && (match s.[!j] with '0' .. '9' | '.' | '-' | ' ' -> true | _ -> false)
-      do
-        incr j
-      done;
-      float_of_string_opt (String.trim (String.sub s start (!j - start)))
-    end
-    else find (i + 1)
-  in
-  find 0
-
-(* Same discipline for a quoted string value following [key]. *)
-let scan_string_key s key =
-  let rec find i =
-    if i + String.length key > String.length s then None
-    else if String.sub s i (String.length key) = key then begin
-      let j = ref (i + String.length key) in
-      if !j < String.length s && s.[!j] = '"' then begin
-        incr j;
-        let start = !j in
-        while !j < String.length s && s.[!j] <> '"' do
-          incr j
-        done;
-        Some (String.sub s start (!j - start))
-      end
-      else None
-    end
-    else find (i + 1)
-  in
-  find 0
-
 (* Compare the last two entries of the bench trend log: the obs
    overhead ratio may not grow, and server throughput may not drop,
    beyond --tolerance percent.  Fewer than two entries is a clean
@@ -543,7 +502,7 @@ let observe_diff history tolerance =
       (match !lines with
       | last :: prev :: _ ->
           let check label ~worse_if_over key =
-            match (scan_float_key prev key, scan_float_key last key) with
+            match (Stats.Bench.float_key prev key, Stats.Bench.float_key last key) with
             | Some p, Some l ->
                 let slack = tolerance /. 100. in
                 let ok =
@@ -559,33 +518,33 @@ let observe_diff history tolerance =
                 true
           in
           let obs_ok =
-            check "obs overhead" ~worse_if_over:true "\"overhead\":"
+            check "obs overhead" ~worse_if_over:true "overhead"
           in
           let server_ok =
-            check "server acquires/sec" ~worse_if_over:false "\"acquires_per_sec\":"
+            check "server acquires/sec" ~worse_if_over:false "acquires_per_sec"
           in
           (* shootout keys: the cross-backend worst access count may
              not grow, the warm-serving rate may not collapse *)
           let backends_ok =
             check "shootout worst accesses" ~worse_if_over:true
-              "\"worst_get_accesses\":"
+              "worst_get_accesses"
             && check "shootout warm-hit rate" ~worse_if_over:false
-                 "\"best_warm_hit_rate\":"
+                 "best_warm_hit_rate"
           in
           (* chaos key: matrix-minimum availability under the fault
              campaign may not collapse (absent from pre-chaos entries) *)
           let chaos_ok =
             check "chaos availability" ~worse_if_over:false
-              "\"chaos_availability\":"
+              "chaos_availability"
           in
           (* journey key: the extreme tail may not stretch (absent from
              pre-journey entries — skipped cleanly) *)
           let tail_ok =
-            check "tail p999 ns" ~worse_if_over:true "\"tail_p999_ns\":"
+            check "tail p999 ns" ~worse_if_over:true "tail_p999_ns"
           in
           (match
-             (scan_string_key prev "\"top_blame_stage\":",
-              scan_string_key last "\"top_blame_stage\":")
+             (Stats.Bench.string_key prev "top_blame_stage",
+              Stats.Bench.string_key last "top_blame_stage")
            with
           | Some p, Some l when p <> l ->
               Fmt.pr "%-20s %12s -> %12s (informational)@." "top blame stage" p l

@@ -105,3 +105,5 @@ let csv_field s =
 let to_csv t =
   let line row = String.concat "," (List.map csv_field row) in
   String.concat "\n" (List.map line (t.headers :: List.rev t.rows))
+
+module Bench = Bench

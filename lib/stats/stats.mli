@@ -57,3 +57,7 @@ val to_csv : table -> string
 
 val print : table -> unit
 (** [render] to stdout with a trailing newline. *)
+
+(** {1 Bench results and gates} *)
+
+module Bench = Bench

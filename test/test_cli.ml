@@ -1,12 +1,14 @@
-(* End-to-end exit-code and diagnostic checks on the built CLI.
-   dune runs tests from _build/default/test, and test/dune declares
-   ../bin/main.exe as a dependency, so the binary is always fresh. *)
+(* End-to-end exit-code and diagnostic checks on the built CLI and
+   bench.  dune runs tests from _build/default/test, and test/dune
+   declares ../bin/main.exe and ../bench/main.exe as dependencies, so
+   the binaries are always fresh. *)
 
 let exe = Filename.concat ".." (Filename.concat "bin" "main.exe")
+let bench_exe = Filename.concat ".." (Filename.concat "bench" "main.exe")
 
 (* Run a command with stdout/stderr captured; return (exit code, output).
    Sys.command goes through sh, so plain redirection syntax works. *)
-let run args =
+let run ?(exe = exe) args =
   let out = Filename.temp_file "renaming_cli" ".out" in
   let code = Sys.command (Printf.sprintf "%s %s > %s 2>&1" exe args (Filename.quote out)) in
   let ic = open_in_bin out in
@@ -217,6 +219,43 @@ let test_server_journeys_json () =
   check_contains "server --journeys --json" out "\"tail_blame\"";
   check_contains "server --journeys --json" out "\"tail_p999_ns\""
 
+(* ----- observe diff: the trend-log comparison ----- *)
+
+(* Two trend entries that differ only in the obs overhead.  The journey
+   overhead comes first and stays put, so a scanner that matched
+   "overhead" inside "journey_overhead" would see no change at all. *)
+let diff_history overhead =
+  let file = Filename.temp_file "renaming_history" ".jsonl" in
+  let entry ts v =
+    Printf.sprintf
+      "{\"ts\":%d,\"obs\":{\"id\":\"obs\",\"journey_overhead\":1.000,\"overhead\":%.3f}}\n"
+      ts v
+  in
+  let oc = open_out file in
+  output_string oc (entry 1 1.0 ^ entry 2 overhead);
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      run (Printf.sprintf "observe diff --tolerance 20 --history %s" (Filename.quote file)))
+
+let test_observe_diff_regressed () =
+  let code, out = diff_history 1.5 in
+  Alcotest.(check int) "overhead grew past tolerance => exit 1" 1 code;
+  check_contains "observe diff" out "REGRESSED"
+
+let test_observe_diff_within () =
+  let code, out = diff_history 1.1 in
+  Alcotest.(check int) "overhead within tolerance => exit 0" 0 code;
+  check_contains "observe diff" out "OK"
+
+(* ----- bench driver ----- *)
+
+let test_bench_unknown_id () =
+  let code, out = run ~exe:bench_exe "nosuchid" in
+  Alcotest.(check int) "unknown id => exit 1" 1 code;
+  check_contains "bench" out "unknown experiment"
+
 let test_trace_default_dump () =
   (* the bare `trace` subcommand keeps its original access-dump behavior *)
   let code, out = run "trace -p ma -k 2 -s 8 --tail 5" in
@@ -231,6 +270,10 @@ let () =
           Alcotest.test_case "correct run exits 0" `Quick test_observe_ok;
           Alcotest.test_case "mutant bound violation exits nonzero" `Quick
             test_observe_mutant_fails;
+          Alcotest.test_case "diff beyond tolerance exits 1" `Quick
+            test_observe_diff_regressed;
+          Alcotest.test_case "diff within tolerance exits 0" `Quick
+            test_observe_diff_within;
         ] );
       ( "faults",
         [
@@ -268,4 +311,5 @@ let () =
           Alcotest.test_case "server --journeys" `Quick test_server_journeys;
           Alcotest.test_case "server --journeys json" `Quick test_server_journeys_json;
         ] );
+      ("bench", [ Alcotest.test_case "unknown id exits 1" `Quick test_bench_unknown_id ]);
     ]

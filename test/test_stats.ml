@@ -76,6 +76,87 @@ let prop_summary_bounds =
       let s = Stats.summarize_ints xs in
       s.min <= s.mean && s.mean <= s.max && s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.max)
 
+(* ----- bench gate and key scanner ----- *)
+
+module B = Stats.Bench
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "renaming_gate" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let write_baseline dir id body = B.write_file (B.baseline_path ~dir ~id) body
+
+let test_find_root () =
+  Alcotest.(check (option string)) "parent of _build" (Some "/src/repo")
+    (B.find_root "/src/repo/_build/default/bench/main.exe");
+  Alcotest.(check (option string)) "relative path" None
+    (B.find_root "_build/default/bench/main.exe");
+  Alcotest.(check (option string)) "outside _build" None (B.find_root "/usr/bin/bench")
+
+let test_scanner () =
+  let opt_float = Alcotest.(option (float 0.)) in
+  Alcotest.check opt_float "negative number" (Some (-3.5)) (B.float_key "{\"a\":-3.5}" "a");
+  Alcotest.check opt_float "exponent" (Some 1.5e7) (B.float_key "{\"a\": 1.5e+07}" "a");
+  Alcotest.check opt_float "not inside journey_overhead" (Some 1.9)
+    (B.float_key "{\"journey_overhead\":1.4,\"overhead\":1.9}" "overhead");
+  Alcotest.check opt_float "only journey_overhead present" None
+    (B.float_key "{\"journey_overhead\":1.4}" "overhead");
+  Alcotest.check opt_float "missing key" None (B.float_key "{\"b\":1}" "a");
+  Alcotest.check opt_float "nan is no number" None (B.float_key "{\"a\":nan}" "a");
+  Alcotest.check opt_float "string is no number" None (B.float_key "{\"a\":\"x\"}" "a");
+  Alcotest.(check (option string)) "quoted string" (Some "drain")
+    (B.string_key "{\"n\":1,\"top_blame_stage\":\"drain\"}" "top_blame_stage");
+  Alcotest.(check (option string)) "number is no string" None (B.string_key "{\"a\":1}" "a")
+
+let check_gate what expected ?cap dir direction ~factor measured =
+  Alcotest.(check bool) what expected
+    (B.gate ?cap ~rebaseline:false ~dir ~id:"g" ~key:"v" direction ~factor measured)
+
+let test_gate_fails_closed () =
+  with_temp_dir (fun dir ->
+      check_gate "missing baseline" false dir B.At_most ~factor:1.5 1.0;
+      write_baseline dir "g" "{\"id\":\"g_baseline\",\"v\":nan}\n";
+      check_gate "non-finite baseline" false dir B.At_most ~factor:1.5 1.0;
+      write_baseline dir "g" "{\"id\":\"g_baseline\",\"v\":2}\n";
+      check_gate "finite measurement" true dir B.At_most ~factor:1.5 1.0;
+      check_gate "nan measurement" false dir B.At_most ~factor:1.5 nan;
+      check_gate "infinite measurement" false dir B.At_least ~factor:0.9 infinity)
+
+let test_gate_factors () =
+  with_temp_dir (fun dir ->
+      write_baseline dir "g" "{\"id\":\"g_baseline\",\"v\":2}\n";
+      (* at most 1.5x of 2: limit 3 *)
+      check_gate "at the ceiling" true dir B.At_most ~factor:1.5 3.0;
+      check_gate "just under the ceiling" true dir B.At_most ~factor:1.5 (Float.pred 3.0);
+      check_gate "just over the ceiling" false dir B.At_most ~factor:1.5 (Float.succ 3.0);
+      (* at least 0.5x of 2: limit 1 *)
+      check_gate "at the floor" true dir B.At_least ~factor:0.5 1.0;
+      check_gate "just over the floor" true dir B.At_least ~factor:0.5 (Float.succ 1.0);
+      check_gate "just under the floor" false dir B.At_least ~factor:0.5 (Float.pred 1.0))
+
+let test_gate_cap () =
+  (* obs on full runs: min(2.0, 2x baseline) with the committed 1.894 *)
+  with_temp_dir (fun dir ->
+      write_baseline dir "g" "{\"id\":\"g_baseline\",\"v\":1.894}\n";
+      check_gate "under the cap" true ~cap:2.0 dir B.At_most ~factor:2.0 1.99;
+      check_gate "over the cap" false ~cap:2.0 dir B.At_most ~factor:2.0 2.01;
+      check_gate "no cap (smoke)" true dir B.At_most ~factor:2.0 2.01)
+
+let test_rebaseline () =
+  with_temp_dir (fun dir ->
+      let path = B.baseline_path ~dir ~id:"g" in
+      let rebase v = B.gate ~rebaseline:true ~dir ~id:"g" ~key:"v" B.At_most ~factor:1.5 v in
+      Alcotest.(check bool) "nan refused" false (rebase nan);
+      Alcotest.(check bool) "nothing written" false (Sys.file_exists path);
+      Alcotest.(check bool) "finite recorded" true (rebase 1.25);
+      Alcotest.(check (option (float 0.))) "scanner reads it back" (Some 1.25)
+        (Option.bind (B.read_file path) (fun s -> B.float_key s "v"));
+      check_gate "gates against it" true dir B.At_most ~factor:1.5 1.25)
+
 let () =
   Alcotest.run "stats"
     [
@@ -89,6 +170,15 @@ let () =
           Alcotest.test_case "growth exponent" `Quick test_growth_exponent;
           Alcotest.test_case "table rendering" `Quick test_table;
           Alcotest.test_case "csv export" `Quick test_csv;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "checkout root" `Quick test_find_root;
+          Alcotest.test_case "key scanner" `Quick test_scanner;
+          Alcotest.test_case "gate fails closed" `Quick test_gate_fails_closed;
+          Alcotest.test_case "gate factors, both directions" `Quick test_gate_factors;
+          Alcotest.test_case "gate absolute cap" `Quick test_gate_cap;
+          Alcotest.test_case "rebaseline" `Quick test_rebaseline;
         ] );
       ("property", [ prop_linear_fit_recovers; prop_summary_bounds ]);
     ]
