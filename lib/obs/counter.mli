@@ -10,6 +10,11 @@ type t
 val create : unit -> t
 val incr : t -> unit
 val add : t -> int -> unit
+
+val set : t -> int -> unit
+(** Assign the count — for publishers that mirror a count kept
+    elsewhere, so re-publishing the same value is idempotent. *)
+
 val get : t -> int
 val reset : t -> unit
 

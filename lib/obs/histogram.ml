@@ -149,6 +149,19 @@ let reset t =
   t.vmin <- max_int;
   t.vmax <- 0
 
+let fill t v ~count =
+  let i = index v in
+  for j = 0 to nbuckets - 1 do
+    if j <> i && t.buckets.(j) <> 0 then t.buckets.(j) <- 0;
+    if t.exemplars.(j) <> 0 then t.exemplars.(j) <- 0
+  done;
+  t.buckets.(i) <- count;
+  t.max_ex <- 0;
+  t.count <- count;
+  t.sum <- max 0 v * count;
+  t.vmin <- (if count > 0 then max 0 v else max_int);
+  t.vmax <- (if count > 0 then max 0 v else 0)
+
 let merge ~into src =
   for i = 0 to nbuckets - 1 do
     into.buckets.(i) <- into.buckets.(i) + src.buckets.(i);

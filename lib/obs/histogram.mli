@@ -56,6 +56,14 @@ val percentile : t -> float -> int
     observation would report. *)
 
 val reset : t -> unit
+
+val fill : t -> int -> count:int -> unit
+(** [fill t v ~count] makes [t] hold exactly [count] observations of
+    [v], replacing what it held — for publishers whose every
+    observation is known to be [v] and who keep only the count.  Each
+    field is assigned, never accumulated, so repeating it with the same
+    arguments is idempotent. *)
+
 val merge : into:t -> t -> unit
 
 (** {1 Bucket geometry} — shared with {!Timeseries}, which reuses the

@@ -58,27 +58,59 @@ let instrument ~registry ~pid raw =
   in
   (shard, t, ops, record)
 
-let gauge_acquired shard ~name ~name_space ~held ~conc =
-  match shard with
-  | Some sh ->
-      let g = Obs.Registry.gauge sh "names.held" in
+(* One worker's names.* metrics, each resolved on first use and then
+   cached, the per-name gauges in an array indexed by name: the cycle
+   path builds no strings and makes no table lookups, and a snapshot
+   lists exactly the metrics the run touched. *)
+type names = {
+  sh : Obs.Registry.shard;
+  held : Obs.Gauge.t Lazy.t;
+  acquired : Obs.Counter.t Lazy.t;
+  released : Obs.Counter.t Lazy.t;
+  by_name : Obs.Gauge.t option array;  (* names.held.N *)
+}
+
+let names shard ~name_space =
+  Option.map
+    (fun sh ->
+      {
+        sh;
+        held = lazy (Obs.Registry.gauge sh "names.held");
+        acquired = lazy (Obs.Registry.counter sh "names.acquired");
+        released = lazy (Obs.Registry.counter sh "names.released");
+        by_name = Array.make name_space None;
+      })
+    shard
+
+let name_gauge nm name =
+  match nm.by_name.(name) with
+  | Some g -> g
+  | None ->
+      let g = Obs.Registry.gauge nm.sh ("names.held." ^ string_of_int name) in
+      nm.by_name.(name) <- Some g;
+      g
+
+let gauge_acquired names ~name ~held ~conc =
+  match names with
+  | Some nm ->
+      let g = Lazy.force nm.held in
       Obs.Gauge.incr g;
       Obs.Gauge.observe g conc;
-      if name >= 0 && name < name_space then begin
-        let gn = Obs.Registry.gauge sh ("names.held." ^ string_of_int name) in
+      if name >= 0 && name < Array.length nm.by_name then begin
+        let gn = name_gauge nm name in
         Obs.Gauge.incr gn;
         Obs.Gauge.observe gn held
       end;
-      Obs.Registry.inc sh "names.acquired"
+      Obs.Counter.incr (Lazy.force nm.acquired)
   | None -> ()
 
-let gauge_released shard ~name ~name_space =
-  match shard with
-  | Some sh ->
-      Obs.Gauge.decr (Obs.Registry.gauge sh "names.held");
-      if name >= 0 && name < name_space then
-        Obs.Gauge.decr (Obs.Registry.gauge sh ("names.held." ^ string_of_int name));
-      Obs.Registry.inc sh "names.released"
+let gauge_released names ~name =
+  match names with
+  | Some nm ->
+      Obs.Gauge.decr (Lazy.force nm.held);
+      if name >= 0 && name < Array.length nm.by_name then
+        Obs.Gauge.decr (name_gauge nm name);
+      Obs.Counter.incr (Lazy.force nm.released)
   | None -> ()
 
 let spin n =
@@ -112,6 +144,7 @@ let run (type a) ?registry ?flight ?(faults = [])
        observable the way it is under the simulator). *)
     let raw = Atomic_store.ops store ~pid in
     let shard, t, ops, record = instrument ~registry ~pid raw in
+    let names = names shard ~name_space in
     (* The flight clock is the domain's own total access count — the
        tally's never-reset running total (per-operation deltas use
        mark/since on the same arena, so one count feeds both); cross-
@@ -141,12 +174,12 @@ let run (type a) ?registry ?flight ?(faults = [])
       fly (Obs.Flight.Acquired n);
       (match shard with Some sh -> record sh "get" [ ("name", n) ] | None -> ());
       let held, conc = Agg.acquired agg ~worker:i ~name:n in
-      gauge_acquired shard ~name:n ~name_space ~held ~conc;
+      gauge_acquired names ~name:n ~held ~conc;
       (lease, n)
     in
     let release (lease, n) =
       Agg.released agg ~name:n;
-      gauge_released shard ~name:n ~name_space;
+      gauge_released names ~name:n;
       Store.tally_mark t;
       P.release_name inst ops lease;
       fly (Obs.Flight.Released n);
@@ -200,6 +233,7 @@ let run_recovered ?registry ?(faults = []) rc ~layout ~pids ~cycles =
   let worker i pid () =
     let raw = Atomic_store.ops store ~pid in
     let shard, t, ops, record = instrument ~registry ~pid raw in
+    let names = names shard ~name_space in
     let acquire () =
       Store.tally_mark t;
       match Recovery.acquire rc ops with
@@ -210,12 +244,12 @@ let run_recovered ?registry ?(faults = []) rc ~layout ~pids ~cycles =
           let n = Recovery.name_of lease in
           (match shard with Some sh -> record sh "get" [ ("name", n) ] | None -> ());
           let held, conc = Agg.acquired agg ~worker:i ~name:n in
-          gauge_acquired shard ~name:n ~name_space ~held ~conc;
+          gauge_acquired names ~name:n ~held ~conc;
           Some (lease, n)
     in
     let release (lease, n) =
       Agg.released agg ~name:n;
-      gauge_released shard ~name:n ~name_space;
+      gauge_released names ~name:n;
       Store.tally_mark t;
       ignore (Recovery.release rc ops lease : bool);
       match shard with Some sh -> record sh "release" [] | None -> ()

@@ -201,7 +201,12 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
       let park_in_drain =
         match fault with Some (Park_in_drain _) -> true | _ -> false
       in
-      let obs = Server.client_obs c in
+      (* created on the first grant, as a by-name observe would *)
+      let reg_lat =
+        Option.map
+          (fun o -> lazy (Obs.Registry.histogram o "server.latency_ns"))
+          (Server.client_obs c)
+      in
       (* Deadline-aware shedding reads this client's own latency
          rollup: the last complete window's p99, falling back to the
          live window when the series is young. *)
@@ -320,8 +325,8 @@ let client_body server id nclients jr fault policy (spec : Workload.server_spec)
                (match jr with
                | Some j -> Obs.Journey.finish j ~now:fin
                | None -> ());
-               (match obs with
-               | Some o -> Obs.Registry.observe o "server.latency_ns" d_open
+               (match reg_lat with
+               | Some h -> Obs.Histogram.observe (Lazy.force h) d_open
                | None -> ());
                Agg.cycle_done agg id);
            spin slow

@@ -84,6 +84,7 @@ type shard = { inst : Any.t; base : int }
 type client = {
   id : int;
   obs : Obs.Registry.shard option;
+  cold_h : Obs.Histogram.t Lazy.t option;  (* created on the first cold grant *)
   ring : Obs.Flight.t option;
   jr : Obs.Journey.t option;
       (* per-request journey recorder (single writer: this domain);
@@ -229,8 +230,6 @@ let pending_push t sh i =
   ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(sh) 1)
 
 let obs_inc c name = match c.obs with Some o -> Obs.Registry.inc o name | None -> ()
-let obs_count c name n = match c.obs with Some o -> Obs.Registry.count o name n | None -> ()
-let obs_observe c name v = match c.obs with Some o -> Obs.Registry.observe o name v | None -> ()
 
 let mark c tag v =
   match c.ring with
@@ -299,7 +298,6 @@ let check_epoch t (c : client) =
   else begin
     resync t c e;
     c.fenced <- c.fenced + 1;
-    obs_inc c "server.fenced";
     true
   end
 
@@ -375,10 +373,8 @@ let drain_shard ?(hook = true) ?(t0 = 0) t (c : client) sh =
   if h <> 0 then begin
     let t0 = if t0 <> 0 then t0 else jtrack c in
     c.drains <- c.drains + 1;
-    obs_inc c "server.drains";
     let n = drain_walk ~hook t c (h - 1) in
     c.drained <- c.drained + n;
-    obs_count c "server.drained" n;
     mark c "drain" n;
     jblame c Obs.Journey.Drain t0
   end
@@ -412,11 +408,9 @@ let flush_warm_shard t c sh =
     if t.slot_shard.(slot) = sh then begin
       if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
         pending_push t sh slot
-      else begin
+      else
         (* reclaimed from the cache behind our back — already retired *)
-        c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced"
-      end
+        c.fenced <- c.fenced + 1
     end
     else begin
       c.warm_src.(!w) <- c.warm_src.(r);
@@ -525,23 +519,18 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   Atomic.set t.fence.(slot) fence_held;
   ignore (Agg.acquired t.agg ~worker:c.id ~name : int * int);
   c.acquires <- c.acquires + 1;
-  obs_inc c "server.acquired";
-  obs_observe c "server.acquire.accesses.cold" accesses;
+  (match c.cold_h with Some h -> Obs.Histogram.observe (Lazy.force h) accesses | None -> ());
   Granted { name; token = slot; warm = false; accesses }
 
 let acquire_cold t c ~src =
   let primary = route src t.cfg.shards in
   let sh = route_live t src primary in
-  if sh <> primary then begin
-    c.failovers <- c.failovers + 1;
-    obs_inc c "server.failover"
-  end;
+  if sh <> primary then c.failovers <- c.failovers + 1;
   let t0 = jtrack c in
   let claimed = Atomic.compare_and_set t.claims.(src) 0 (c.id + 1) in
   let tc = jblame_t c Obs.Journey.Claim t0 in
   if not claimed then begin
     c.busy <- c.busy + 1;
-    obs_inc c "server.busy";
     Busy
   end
   else
@@ -553,7 +542,6 @@ let acquire_cold t c ~src =
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (Atomic.fetch_and_add (Pad.cells t.shard_sheds).(sh) 1);
       c.shed <- c.shed + 1;
-      obs_inc c "server.shed";
       Shed
     end
     else if Pad.get t.epoch c.id <> c.my_epoch then begin
@@ -564,7 +552,6 @@ let acquire_cold t c ~src =
       ignore (Atomic.compare_and_set t.claims.(src) (c.id + 1) 0 : bool);
       ignore (check_epoch t c : bool);
       c.busy <- c.busy + 1;
-      obs_inc c "server.busy";
       Busy
     end
     else cold_grant ~t0:tc t c ~src ~sh
@@ -585,9 +572,6 @@ let acquire t c ~src =
       t.slot_held.(slot) <- true;
       c.acquires <- c.acquires + 1;
       c.warm_hits <- c.warm_hits + 1;
-      obs_inc c "server.acquired";
-      obs_inc c "server.warm_hits";
-      obs_observe c "server.acquire.accesses.warm" 0;
       (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
       mark c "warm" t.slot_name.(slot);
       Granted { name = t.slot_name.(slot); token = slot; warm = true; accesses = 0 }
@@ -595,7 +579,6 @@ let acquire t c ~src =
     else begin
       (* the lease was reclaimed out of our cache — fall to cold *)
       c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced";
       acquire_cold t c ~src
     end
   end
@@ -645,10 +628,7 @@ let release t c ~token =
             jrel ();
             pending_release ~t0:!jend t c osh old
           end
-          else begin
-            c.fenced <- c.fenced + 1;
-            obs_inc c "server.fenced"
-          end
+          else c.fenced <- c.fenced + 1
         end;
         c.warm_src.(c.warm_n) <- t.slot_src.(token);
         c.warm_slot.(c.warm_n) <- token;
@@ -658,17 +638,12 @@ let release t c ~token =
         jrel ();
         pending_release ~t0:!jend t c t.slot_shard.(token) token
       end
-      else begin
-        c.fenced <- c.fenced + 1;
-        obs_inc c "server.fenced"
-      end
+      else c.fenced <- c.fenced + 1
     end
-    else begin
+    else
       (* reclaimed between grant and release (we were falsely expired
          and re-synced meanwhile) — the lease is already retired *)
       c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced"
-    end;
     jrel ()
   end
 
@@ -678,10 +653,7 @@ let flush t c =
     let slot = c.warm_slot.(r) in
     if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
       pending_push t t.slot_shard.(slot) slot
-    else begin
-      c.fenced <- c.fenced + 1;
-      obs_inc c "server.fenced"
-    end
+    else c.fenced <- c.fenced + 1
   done;
   c.warm_n <- 0;
   for sh = 0 to t.cfg.shards - 1 do
@@ -992,6 +964,24 @@ let merge_flight t =
         (fun c -> match c.ring with Some r -> Obs.Flight.merge ~into:f r | None -> ())
         t.clients_tbl
 
+(* Snapshot hook: the request path counts only into the client's own
+   fields (only reclaimer-seat events use [obs_inc]), and this assigns
+   the server.* metrics from them — assigned, so concurrent snapshots
+   cannot double count, and each created once non-zero as a first event
+   would.  Warm grants cost 0 accesses: the histogram is [warm_hits] zeros. *)
+let publish (c : client) o =
+  let set name v = Obs.Counter.set (Obs.Registry.counter o name) v in
+  List.iter
+    (fun (name, v) -> if v > 0 then set name v)
+    [ ("server.acquired", c.acquires); ("server.warm_hits", c.warm_hits);
+      ("server.busy", c.busy); ("server.shed", c.shed); ("server.drains", c.drains);
+      ("server.fenced", c.fenced); ("server.failover", c.failovers) ];
+  (* a drain that retired nothing still creates server.drained *)
+  if c.drains > 0 then set "server.drained" c.drained;
+  if c.warm_hits > 0 then
+    Obs.Histogram.fill (Obs.Registry.histogram o "server.acquire.accesses.warm") 0
+      ~count:c.warm_hits
+
 (* ----- construction ----- *)
 
 let default_backend layout ~stage ~k =
@@ -1069,6 +1059,10 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         {
           id;
           obs;
+          cold_h =
+            Option.map
+              (fun o -> lazy (Obs.Registry.histogram o "server.acquire.accesses.cold"))
+              obs;
           ring;
           jr = Option.map (fun a -> a.(id)) journeys;
           ops;
@@ -1092,6 +1086,9 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           failovers = 0;
         })
   in
+  Array.iter
+    (fun c -> Option.iter (fun o -> Obs.Registry.on_snapshot o (fun () -> publish c o)) c.obs)
+    clients_tbl;
   {
     cfg;
     shard_tbl;

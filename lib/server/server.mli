@@ -130,7 +130,11 @@ val create :
   t
 (** Build the shard pool (default backend: {!Renaming.Split} per
     shard).  Client handles, registry shards and flight rings are all
-    created here, before any domain runs.  [parked] (default [0]) is
+    created here, before any domain runs.  With a [registry], each
+    snapshot assigns the [server.*] counters and the warm access
+    histogram from the clients' own counters ({!client_stats}); the
+    request path itself does no registry work beyond one histogram
+    observation per cold grant.  [parked] (default [0]) is
     the number of clients that will park holding a name — forwarded
     to the {!Runtime.Agg} scoreboard.  [journeys] wires one
     per-request journey recorder per client (same index as client
@@ -262,7 +266,8 @@ val merge_flight : t -> unit
     {!create} (client order) — call after the join, like
     {!Runtime.Domain_runner}'s merge. *)
 
-(** {1 Per-client counters} — single-writer; read them after the join. *)
+(** {1 Per-client counters} — single-writer; read them after the join
+    (a registry snapshot reads them live, telemetry-grade). *)
 
 type client_stats = {
   acquires : int;  (** Granted, warm and cold together. *)

@@ -22,7 +22,10 @@ let test_counter () =
   Alcotest.(check int) "merge adds" 10 (Obs.Counter.get c);
   Alcotest.(check int) "source untouched" 4 (Obs.Counter.get d);
   Obs.Counter.reset c;
-  Alcotest.(check int) "reset" 0 (Obs.Counter.get c)
+  Alcotest.(check int) "reset" 0 (Obs.Counter.get c);
+  Obs.Counter.set c 7;
+  Obs.Counter.set c 7;
+  Alcotest.(check int) "set assigns" 7 (Obs.Counter.get c)
 
 let test_gauge () =
   let g = Obs.Gauge.create () in
@@ -83,6 +86,27 @@ let test_histogram_merge () =
   Alcotest.(check int) "merged sum" 9_349 s.sum;
   Alcotest.(check int) "merged min" 2 s.min;
   Alcotest.(check int) "merged p100" 9_000 s.p100
+
+let test_histogram_fill () =
+  let fed n v =
+    let h = Obs.Histogram.create () in
+    for _ = 1 to n do
+      Obs.Histogram.observe h v
+    done;
+    Obs.Histogram.snap h
+  in
+  let h = Obs.Histogram.create () in
+  List.iter (Obs.Histogram.observe h) [ 2; 300; 40 ];
+  Obs.Histogram.observe_ex h 9_000 ~ex:5;
+  Obs.Histogram.fill h 0 ~count:5;
+  Alcotest.(check bool) "replaces the contents" true (Obs.Histogram.snap h = fed 5 0);
+  Alcotest.(check (option int)) "drops exemplars" None (Obs.Histogram.max_exemplar h);
+  Obs.Histogram.fill h 0 ~count:5;
+  Alcotest.(check bool) "idempotent" true (Obs.Histogram.snap h = fed 5 0);
+  Obs.Histogram.fill h 300 ~count:3;
+  Alcotest.(check bool) "any value" true (Obs.Histogram.snap h = fed 3 300);
+  Obs.Histogram.fill h 0 ~count:0;
+  Alcotest.(check bool) "count 0 empties" true (Obs.Histogram.snap h = fed 0 0)
 
 (* Property: merging per-domain shards is *exact* — the quantiles of
    the merged histogram equal, bucket for bucket, what one oracle
@@ -478,6 +502,7 @@ let () =
           Alcotest.test_case "histogram percentile error" `Quick
             test_histogram_percentile_error;
           Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
+          Alcotest.test_case "histogram fill" `Quick test_histogram_fill;
           test_histogram_shard_merge_oracle;
           Alcotest.test_case "live reader never overshoots" `Slow
             test_histogram_live_reader;

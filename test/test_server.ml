@@ -340,6 +340,80 @@ let test_failover_quarantine () =
   let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
   Alcotest.(check int) "no violations through failover" 0 r.Agg.violations
 
+(* --- registry: server.* metrics mirror the client counters --- *)
+
+let test_registry_mirrors_clients () =
+  let registry = Obs.Registry.create () in
+  let t = Server.create ~registry (cfg ~clients:2 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let grant c src =
+    match Server.acquire t c ~src with
+    | Server.Granted g -> (g.token, g.warm)
+    | _ -> Alcotest.failf "src %d not granted" src
+  in
+  (* cold grants, then warm hits on the same sources *)
+  List.iter (fun src -> Server.release t c0 ~token:(fst (grant c0 src))) [ 1; 2 ];
+  List.iter
+    (fun src ->
+      let token, warm = grant c0 src in
+      Alcotest.(check bool) "re-acquire is warm" true warm;
+      Server.release t c0 ~token)
+    [ 1; 2 ];
+  (* client 1 asks for a source client 0 still holds *)
+  let held, _ = grant c0 3 in
+  (match Server.acquire t c1 ~src:3 with
+  | Server.Busy -> ()
+  | _ -> Alcotest.fail "held source must be Busy");
+  Server.release t c1 ~token:(fst (grant c1 5));
+  Server.release t c0 ~token:held;
+  Server.flush t c0;
+  Server.flush t c1;
+  Alcotest.(check int) "all names returned" 0 (Server.outstanding t);
+  let total f =
+    f (Server.client_stats c0) + f (Server.client_stats c1)
+  in
+  let expected =
+    List.filter
+      (fun (_, v) -> v > 0)
+      [
+        ("server.acquired", total (fun s -> s.Server.acquires));
+        ("server.busy", total (fun s -> s.Server.busy));
+        ("server.drained", total (fun s -> s.Server.drained_releases));
+        ("server.drains", total (fun s -> s.Server.drains));
+        ("server.failover", total (fun s -> s.Server.failovers));
+        ("server.fenced", total (fun s -> s.Server.fenced));
+        ("server.shed", total (fun s -> s.Server.shed));
+        ("server.warm_hits", total (fun s -> s.Server.warm_hits));
+      ]
+  in
+  let warm_hits = total (fun s -> s.Server.warm_hits) in
+  Alcotest.(check int) "two warm hits" 2 warm_hits;
+  Alcotest.(check int) "one busy" 1 (total (fun s -> s.Server.busy));
+  Alcotest.(check bool) "the flush drained" true (total (fun s -> s.Server.drains) > 0);
+  let server_counters (snap : Obs.Registry.snapshot) =
+    List.filter
+      (fun (n, _) -> String.length n > 7 && String.sub n 0 7 = "server.")
+      snap.counters
+  in
+  let snap = Obs.Registry.snapshot registry in
+  Alcotest.(check (list (pair string int)))
+    "each server.* counter is the clients' sum" expected (server_counters snap);
+  Alcotest.(check bool) "no shed, no server.shed" false
+    (List.mem_assoc "server.shed" snap.counters);
+  let hist name = List.assoc name snap.histograms in
+  let warm = hist "server.acquire.accesses.warm" in
+  Alcotest.(check int) "warm histogram counts warm hits" warm_hits warm.Obs.Histogram.count;
+  Alcotest.(check int) "warm grants cost 0 accesses" 0 warm.Obs.Histogram.p100;
+  let cold = hist "server.acquire.accesses.cold" in
+  Alcotest.(check int) "cold histogram counts cold grants"
+    (total (fun s -> s.Server.acquires) - warm_hits)
+    cold.Obs.Histogram.count;
+  let again = Obs.Registry.snapshot registry in
+  Alcotest.(check (list (pair string int)))
+    "a second snapshot counts nothing twice" snap.counters again.counters;
+  Alcotest.(check bool) "histograms unchanged by a second snapshot" true
+    (snap.histograms = again.histograms)
+
 let () =
   Alcotest.run "server"
     [
@@ -351,6 +425,8 @@ let () =
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
+          Alcotest.test_case "registry mirrors client counters" `Quick
+            test_registry_mirrors_clients;
         ] );
       ( "concurrency",
         [
