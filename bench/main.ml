@@ -586,13 +586,14 @@ let run_recovery_bench ~smoke ~rebaseline () =
 
 (* ----- name server under churn ----- *)
 
-(* Ping the same cells from [n] domains: adjacent boxed atomics share
-   cache lines, Pad-spaced ones do not.  The delta is the satellite
-   false-sharing fix made visible — honestly near-zero on a 1-core
-   container (domains timeslice; lines never ping-pong), real on
-   multicore hardware. *)
+(* Ping [cells] from one domain each: adjacent plain atomics share
+   cache lines, Pad cells do not.  [Gc.full_major] first moves fresh
+   cells out of the minor heap to where they live for the run (OCaml 5
+   packs promoted 2-word atomics four to a line).  Pass no more cells
+   than cores: timesliced domains never ping-pong a line. *)
 let hammer_ns ~iters cells =
   let n = Array.length cells in
+  Gc.full_major ();
   let t0 = Unix.gettimeofday () in
   let ds =
     Array.init n (fun i ->
@@ -658,8 +659,9 @@ let run_server_bench ~smoke ~rebaseline () =
     | None -> "none"
   in
   let iters = if smoke then 200_000 else 1_000_000 in
-  let adj_ns = hammer_ns ~iters (Array.init clients (fun _ -> Atomic.make 0)) in
-  let padded = Runtime.Pad.create clients 0 in
+  let hammers = min clients (Domain.recommended_domain_count ()) in
+  let adj_ns = hammer_ns ~iters (Array.init hammers (fun _ -> Atomic.make 0)) in
+  let padded = Runtime.Pad.create hammers 0 in
   let pad_ns = hammer_ns ~iters (Runtime.Pad.cells padded) in
   let lat = report.Churn.latency in
   let cold = report.Churn.cold_accesses and warm = report.Churn.warm_accesses in

@@ -9,8 +9,10 @@
     name server ([lib/server]) scores its clients through it too.
 
     The hot arrays (per-name holders and maxima, per-worker cycle
-    counters) are {!Pad}-spaced so contended updates to different
-    names do not false-share cache lines.
+    counters) are {!Pad} arrays: each counter is a line-sized block, so
+    contended updates to different names do not false-share cache
+    lines.  The global [concurrent] counter is truly shared and stays a
+    plain atomic.
 
     All updates are safe from any domain. *)
 

@@ -2,7 +2,7 @@ open Shared_mem
 
 type t = int Atomic.t array
 
-let create layout = Array.map Atomic.make (Layout.initial_values layout)
+let create layout = Array.map Pad.make (Layout.initial_values layout)
 
 let ops t ~pid : Store.ops =
   {

@@ -42,12 +42,19 @@ let default_config ?(shards = 4) ?(k_per_shard = 4) ?(warm_capacity = 2) ?(batch
     ?(resilience = default_resilience) ~clients ~source_space () =
   { shards; k_per_shard; source_space; warm_capacity; batch; clients; resilience }
 
-(* Slab tokens are slot indices.  The freelist head packs (tag, idx+1)
-   into one int — the tag advances on every successful swap, so a
-   slot popped, recycled and re-pushed between a competitor's read and
-   its CAS can never satisfy that CAS (the classic Treiber ABA). *)
+(* Slab tokens are slot indices.  Shard [sh] owns slots
+   [sh*k, (sh+1)*k) and keeps them on its own freelist.  A freelist
+   head packs (tag, idx+1) into one int — the tag advances on every
+   successful swap, so a slot popped, recycled and re-pushed between a
+   competitor's read and its CAS can never satisfy that CAS (the
+   classic Treiber ABA). *)
 let idx_bits = 21
 let idx_mask = (1 lsl idx_bits) - 1
+
+(* Per-slot arrays hold one slot per cache line: slot [s] lives at
+   index [at s], a whole line ([Pad.line_words] words) past slot
+   [s-1], so clients working different slots never write one line. *)
+let at slot = slot lsl 3
 
 (* Per-slot retirement fence.  Every lease retirement — batched drain
    or lease reclaim — must win exactly one CAS into [fence_retiring],
@@ -124,15 +131,16 @@ type t = {
   admitted : Pad.t;  (* per shard: held + warm + pending *)
   pending : Pad.t;  (* per shard: list head, slot+1 (0 = empty) *)
   pending_n : Pad.t;
+  free : Pad.t;  (* per shard: freelist head over the shard's slot range *)
+  cap : int;  (* slots: shards * k_per_shard *)
+  (* per slot, indexed [at slot] *)
   slot_src : int array;
-  slot_shard : int array;
   slot_name : int array;  (* global: shard base + local name *)
   slot_owner : int array;
   slot_held : bool array;  (* granted and not yet released *)
   slot_lease : Any.lease option array;
   slot_next : int array;  (* freelist / pending link, -1 terminated *)
-  fence : int Atomic.t array;
-  free : int Atomic.t;
+  fence : int Atomic.t array;  (* per slot, indexed [slot]: Pad cells *)
   (* liveness + reclamation *)
   hb : Pad.t;  (* per client: heartbeat, bumped by [tend] *)
   epoch : Pad.t;  (* per client: bumped when declared dead *)
@@ -150,7 +158,7 @@ type t = {
   last_hb : int array;  (* per client *)
   stale : int array;
   dead : bool array;
-  pending_seen : int array;  (* per slot: consecutive scans at PENDING *)
+  pending_seen : int array;  (* per slot ([at slot]): consecutive scans at PENDING *)
   last_pend : int array;  (* per shard *)
   shard_stale : int array;
   last_sheds : int array;
@@ -193,23 +201,27 @@ let health_code = function
   | Health.Degraded -> 1
   | Health.Quarantined -> 2
 
-(* ----- freelist (tag-CAS Treiber stack) ----- *)
+let slot_shard t slot = slot / t.cfg.k_per_shard
 
-let rec free_push t i =
-  let h = Atomic.get t.free in
-  t.slot_next.(i) <- (h land idx_mask) - 1;
+(* ----- per-shard freelists (tag-CAS Treiber stacks) ----- *)
+
+let rec free_push t sh i =
+  let head = (Pad.cells t.free).(sh) in
+  let h = Atomic.get head in
+  t.slot_next.(at i) <- (h land idx_mask) - 1;
   let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (i + 1) in
-  if not (Atomic.compare_and_set t.free h h') then free_push t i
+  if not (Atomic.compare_and_set head h h') then free_push t sh i
 
-let rec free_pop t =
-  let h = Atomic.get t.free in
+let rec free_pop t sh =
+  let head = (Pad.cells t.free).(sh) in
+  let h = Atomic.get head in
   let v = h land idx_mask in
   if v = 0 then -1
   else begin
     let i = v - 1 in
-    let n = t.slot_next.(i) in
+    let n = t.slot_next.(at i) in
     let h' = (((h lsr idx_bits) + 1) lsl idx_bits) lor (n + 1) in
-    if Atomic.compare_and_set t.free h h' then i else free_pop t
+    if Atomic.compare_and_set head h h' then i else free_pop t sh
   end
 
 (* ----- per-shard pending-release lists -----
@@ -222,7 +234,7 @@ let rec free_pop t =
 let rec pending_push_link t sh i =
   let head = (Pad.cells t.pending).(sh) in
   let h = Atomic.get head in
-  t.slot_next.(i) <- h - 1;
+  t.slot_next.(at i) <- h - 1;
   if not (Atomic.compare_and_set head h (i + 1)) then pending_push_link t sh i
 
 let pending_push t sh i =
@@ -287,7 +299,7 @@ let resync t (c : client) e =
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
     if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
-      pending_push t t.slot_shard.(slot) slot
+      pending_push t (slot_shard t slot) slot
   done;
   c.warm_n <- 0;
   c.my_epoch <- e
@@ -308,14 +320,14 @@ let check_epoch t (c : client) =
    [reset_footprint] (a dead holder's lease may be mid-operation)
    instead of a plain release. *)
 let retire_slot t (c : client) slot ~was_pending ~reset =
-  let ssh = t.slot_shard.(slot) in
+  let ssh = slot_shard t slot in
   let sd = t.shard_tbl.(ssh) in
-  let src = t.slot_src.(slot) in
-  let owner = t.slot_owner.(slot) in
-  let lease = match t.slot_lease.(slot) with Some l -> l | None -> assert false in
-  t.slot_lease.(slot) <- None;
-  t.slot_held.(slot) <- false;
-  Agg.released t.agg ~name:t.slot_name.(slot);
+  let src = t.slot_src.(at slot) in
+  let owner = t.slot_owner.(at slot) in
+  let lease = match t.slot_lease.(at slot) with Some l -> l | None -> assert false in
+  t.slot_lease.(at slot) <- None;
+  t.slot_held.(at slot) <- false;
+  Agg.released t.agg ~name:t.slot_name.(at slot);
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
      of pid [src] can overlap this one, and the claim below stays set
@@ -330,7 +342,7 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
    else Any.release_name sd.inst ops lease);
   ignore (Atomic.compare_and_set t.claims.(src) (owner + 1) 0 : bool);
   Atomic.set t.fence.(slot) fence_free;
-  free_push t slot;
+  free_push t ssh slot;
   ignore (Atomic.fetch_and_add (Pad.cells t.admitted).(ssh) (-1));
   if was_pending then
     ignore (Atomic.fetch_and_add (Pad.cells t.pending_n).(ssh) (-1))
@@ -348,7 +360,7 @@ let cursor_pack sh slot = ((sh + 1) lsl idx_bits) lor (slot + 1)
    retires it early — correctly, since retirement reads the slot's own
    shard. *)
 let drain_walk ?(hook = true) t (c : client) head =
-  let cap = Array.length t.slot_next in
+  let cap = t.cap in
   let cur = (Pad.cells t.cursor).(c.id) in
   let n = ref 0 in
   let i = ref head in
@@ -356,9 +368,9 @@ let drain_walk ?(hook = true) t (c : client) head =
   while !i >= 0 && !steps < cap do
     incr steps;
     let slot = !i in
-    Atomic.set cur (cursor_pack t.slot_shard.(slot) slot);
+    Atomic.set cur (cursor_pack (slot_shard t slot) slot);
     (if hook then match c.chaos with Some f -> f "drain" | None -> ());
-    let next = t.slot_next.(slot) in
+    let next = t.slot_next.(at slot) in
     if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring then begin
       retire_slot t c slot ~was_pending:true ~reset:false;
       incr n
@@ -405,7 +417,7 @@ let flush_warm_shard t c sh =
   let w = ref 0 in
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
-    if t.slot_shard.(slot) = sh then begin
+    if slot_shard t slot = sh then begin
       if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
         pending_push t sh slot
       else
@@ -442,14 +454,16 @@ let admit t c sh tc =
   attempt 3 tc
 
 let slot_take t c sh =
-  (* Admission guarantees at most cap-1 slots are bound or pending, so
-     a slot is free or frees as soon as pending drains; spin + help.
+  (* Admission caps the shard at k held + warm + pending, a slot leaves
+     the shard's freelist only after admission and returns to it before
+     [admitted] drops, so an admitted client's shard always has a slot
+     free or freeing as soon as pending drains; spin + help.
      The chaos hook is suppressed in this one drain: admission is
      already charged here and the slot not yet bound, so a crash at
      this boundary would leak an [admitted] count no reclaim can see —
      the one window the fault model promises does not exist. *)
   let rec go () =
-    match free_pop t with
+    match free_pop t sh with
     | -1 ->
         drain_shard ~hook:false t c sh;
         Domain.cpu_relax ();
@@ -508,12 +522,11 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   let accesses = Store.tally_since c.tally in
   (match c.jr with Some j -> Obs.Journey.accesses j accesses | None -> ());
   let name = sd.base + Any.name_of sd.inst lease in
-  t.slot_src.(slot) <- src;
-  t.slot_shard.(slot) <- sh;
-  t.slot_name.(slot) <- name;
-  t.slot_owner.(slot) <- c.id;
-  t.slot_held.(slot) <- true;
-  t.slot_lease.(slot) <- Some lease;
+  t.slot_src.(at slot) <- src;
+  t.slot_name.(at slot) <- name;
+  t.slot_owner.(at slot) <- c.id;
+  t.slot_held.(at slot) <- true;
+  t.slot_lease.(at slot) <- Some lease;
   (* publish last: the slot only becomes visible to retirers once its
      fields are in place *)
   Atomic.set t.fence.(slot) fence_held;
@@ -569,12 +582,13 @@ let acquire t c ~src =
     let slot = c.warm_slot.(r) in
     warm_remove c r;
     if Atomic.compare_and_set t.fence.(slot) fence_warm fence_held then begin
-      t.slot_held.(slot) <- true;
+      t.slot_held.(at slot) <- true;
       c.acquires <- c.acquires + 1;
       c.warm_hits <- c.warm_hits + 1;
       (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
-      mark c "warm" t.slot_name.(slot);
-      Granted { name = t.slot_name.(slot); token = slot; warm = true; accesses = 0 }
+      let name = t.slot_name.(at slot) in
+      mark c "warm" name;
+      Granted { name; token = slot; warm = true; accesses = 0 }
     end
     else begin
       (* the lease was reclaimed out of our cache — fall to cold *)
@@ -585,8 +599,7 @@ let acquire t c ~src =
   else acquire_cold t c ~src
 
 let release t c ~token =
-  let cap = Array.length t.slot_next in
-  if token < 0 || token >= cap then
+  if token < 0 || token >= t.cap then
     invalid_arg "Server.release: not a token this client holds";
   (* the Release dwell covers the fence transition and warm-cache
      bookkeeping only; time spent in [pending_release]/[drain_shard]
@@ -605,24 +618,24 @@ let release t c ~token =
        first it is already retired (the fence CAS below fails); if it
        didn't, retire it through pending ourselves.  Either way the
        caller's token dies silently — it was fenced, not mis-used. *)
-    if t.slot_owner.(token) = c.id && t.slot_held.(token) then begin
-      t.slot_held.(token) <- false;
+    if t.slot_owner.(at token) = c.id && t.slot_held.(at token) then begin
+      t.slot_held.(at token) <- false;
       if Atomic.compare_and_set t.fence.(token) fence_held fence_pending then begin
         jrel ();
-        pending_release ~t0:!jend t c t.slot_shard.(token) token
+        pending_release ~t0:!jend t c (slot_shard t token) token
       end
     end;
     jrel ()
   end
-  else if t.slot_owner.(token) <> c.id || not t.slot_held.(token) then
+  else if t.slot_owner.(at token) <> c.id || not t.slot_held.(at token) then
     invalid_arg "Server.release: not a token this client holds"
   else begin
-    t.slot_held.(token) <- false;
+    t.slot_held.(at token) <- false;
     if Atomic.compare_and_set t.fence.(token) fence_held fence_warm then begin
       if t.cfg.warm_capacity > 0 then begin
         if c.warm_n = t.cfg.warm_capacity then begin
           let old = c.warm_slot.(0) in
-          let osh = t.slot_shard.(old) in
+          let osh = slot_shard t old in
           warm_remove c 0;
           if Atomic.compare_and_set t.fence.(old) fence_warm fence_pending then begin
             jrel ();
@@ -630,13 +643,13 @@ let release t c ~token =
           end
           else c.fenced <- c.fenced + 1
         end;
-        c.warm_src.(c.warm_n) <- t.slot_src.(token);
+        c.warm_src.(c.warm_n) <- t.slot_src.(at token);
         c.warm_slot.(c.warm_n) <- token;
         c.warm_n <- c.warm_n + 1
       end
       else if Atomic.compare_and_set t.fence.(token) fence_warm fence_pending then begin
         jrel ();
-        pending_release ~t0:!jend t c t.slot_shard.(token) token
+        pending_release ~t0:!jend t c (slot_shard t token) token
       end
       else c.fenced <- c.fenced + 1
     end
@@ -652,7 +665,7 @@ let flush t c =
   for r = 0 to c.warm_n - 1 do
     let slot = c.warm_slot.(r) in
     if Atomic.compare_and_set t.fence.(slot) fence_warm fence_pending then
-      pending_push t t.slot_shard.(slot) slot
+      pending_push t (slot_shard t slot) slot
     else c.fenced <- c.fenced + 1
   done;
   c.warm_n <- 0;
@@ -689,7 +702,7 @@ let adopt_cursor t (c : client) j =
   if v <> 0 then begin
     let slot = (v land idx_mask) - 1 in
     Atomic.set cur 0;
-    if slot >= 0 && slot < Array.length t.slot_next then begin
+    if slot >= 0 && slot < t.cap then begin
       Atomic.incr t.rs_adopted;
       obs_inc c "server.adopted_drains";
       let t0 = jtrack c in
@@ -710,17 +723,17 @@ let reclaim_client t (c : client) j =
     (* finish the walk the corpse may have died inside *)
     adopt_cursor t c j;
     (* reclaim its held and warm leases *)
-    let cap = Array.length t.slot_next in
+    let cap = t.cap in
     for slot = 0 to cap - 1 do
       let f = Atomic.get t.fence.(slot) in
-      if (f = fence_held || f = fence_warm) && t.slot_owner.(slot) = j then begin
+      if (f = fence_held || f = fence_warm) && t.slot_owner.(at slot) = j then begin
         if Atomic.compare_and_set t.fence.(slot) f fence_retiring then begin
-          if t.slot_owner.(slot) <> j then
+          if t.slot_owner.(at slot) <> j then
             (* the slot was retired and re-granted between our owner
                read and the CAS — hand it back untouched *)
             Atomic.set t.fence.(slot) f
           else begin
-            let ssh = t.slot_shard.(slot) in
+            let ssh = slot_shard t slot in
             retire_slot t c slot ~was_pending:false ~reset:true;
             ignore (Atomic.fetch_and_add (Pad.cells t.shard_leaks).(ssh) 1);
             Atomic.incr t.rs_reclaimed;
@@ -740,8 +753,8 @@ let reclaim_client t (c : client) j =
         for slot = 0 to cap - 1 do
           if
             (not !backed)
-            && t.slot_src.(slot) = src
-            && t.slot_owner.(slot) = j
+            && t.slot_src.(at slot) = src
+            && t.slot_owner.(at slot) = j
             && Atomic.get t.fence.(slot) <> fence_free
           then backed := true
         done;
@@ -785,12 +798,11 @@ let do_scan t (c : client) ~seat =
      no list head.  Any slot stuck at PENDING for a full TTL is
      retired directly — for a live, merely idle pending slot that is
      just an early drain. *)
-  let cap = Array.length t.slot_next in
-  for slot = 0 to cap - 1 do
+  for slot = 0 to t.cap - 1 do
     if Atomic.get t.fence.(slot) = fence_pending then begin
-      t.pending_seen.(slot) <- t.pending_seen.(slot) + 1;
-      if t.pending_seen.(slot) >= t.cfg.resilience.lease_ttl then begin
-        t.pending_seen.(slot) <- 0;
+      t.pending_seen.(at slot) <- t.pending_seen.(at slot) + 1;
+      if t.pending_seen.(at slot) >= t.cfg.resilience.lease_ttl then begin
+        t.pending_seen.(at slot) <- 0;
         if Atomic.compare_and_set t.fence.(slot) fence_pending fence_retiring
         then begin
           let t0 = jtrack c in
@@ -801,7 +813,7 @@ let do_scan t (c : client) ~seat =
         end
       end
     end
-    else t.pending_seen.(slot) <- 0
+    else t.pending_seen.(at slot) <- 0
   done;
   (* 3. per-shard health: heal wedged drains, then let the state
      machine decide from this scan's deltas *)
@@ -1019,7 +1031,14 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
         sd)
   in
   let stores = Array.map (function Some s -> s | None -> assert false) stores in
-  let slot_next = Array.init cap (fun i -> if i = cap - 1 then -1 else i + 1) in
+  let k = cfg.k_per_shard in
+  (* each shard's freelist starts as its whole range, in order *)
+  let slot_next = Array.make (at cap) (-1) in
+  for i = 0 to cap - 1 do
+    if (i + 1) mod k <> 0 then slot_next.(at i) <- i + 1
+  done;
+  let free = Pad.create cfg.shards 0 in
+  Array.iteri (fun sh head -> Atomic.set head ((sh * k) + 1 (* tag 0 *))) (Pad.cells free);
   let agg =
     Agg.create ~entry:"Server" ~name_space:!base ~workers:cfg.clients ~parked
   in
@@ -1097,15 +1116,15 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     admitted = Pad.create cfg.shards 0;
     pending = Pad.create cfg.shards 0;
     pending_n = Pad.create cfg.shards 0;
-    slot_src = Array.make cap (-1);
-    slot_shard = Array.make cap (-1);
-    slot_name = Array.make cap (-1);
-    slot_owner = Array.make cap (-1);
-    slot_held = Array.make cap false;
-    slot_lease = Array.make cap None;
+    free;
+    cap;
+    slot_src = Array.make (at cap) (-1);
+    slot_name = Array.make (at cap) (-1);
+    slot_owner = Array.make (at cap) (-1);
+    slot_held = Array.make (at cap) false;
+    slot_lease = Array.make (at cap) None;
     slot_next;
-    fence = Array.init cap (fun _ -> Atomic.make fence_free);
-    free = Atomic.make 1 (* slot 0, tag 0 *);
+    fence = Array.init cap (fun _ -> Pad.make fence_free);
     hb = Pad.create cfg.clients 0;
     epoch = Pad.create cfg.clients 0;
     cursor = Pad.create cfg.clients 0;
@@ -1126,7 +1145,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     last_hb = Array.make cfg.clients min_int;
     stale = Array.make cfg.clients 0;
     dead = Array.make cfg.clients false;
-    pending_seen = Array.make cap 0;
+    pending_seen = Array.make (at cap) 0;
     last_pend = Array.make cfg.shards 0;
     shard_stale = Array.make cfg.shards 0;
     last_sheds = Array.make cfg.shards 0;
@@ -1196,8 +1215,7 @@ let probe_warm_shard t sh =
       let n = min c.warm_n (Array.length c.warm_slot) in
       for r = 0 to n - 1 do
         let slot = c.warm_slot.(r) in
-        if slot >= 0 && slot < Array.length t.slot_shard && t.slot_shard.(slot) = sh
-        then incr w
+        if slot >= 0 && slot < t.cap && slot_shard t slot = sh then incr w
       done)
     t.clients_tbl;
   !w

@@ -16,10 +16,14 @@
        concatenation of the shard spaces.}
     {- {b A preallocated lock-free request slab.}  Every held name is
        carried by one slot of a fixed slab ([shards × k] slots —
-       the tight bound, since admission caps holders).  Slots are
-       claimed from a tag-CAS Treiber freelist and threaded through
-       per-shard pending-release lists by index; a request allocates
-       no slab state, and tokens handed to clients are slot indices.}
+       the tight bound, since admission caps holders).  Shard [sh]
+       owns slots [\[sh·k, (sh+1)·k)], claimed from its own tag-CAS
+       Treiber freelist (admission guarantees an admitted request a
+       slot there) and threaded through the shard's pending-release
+       list by index; a request allocates no slab state, and tokens
+       handed to clients are slot indices.  Shard heads and
+       counters, heartbeats and per-slot fences and fields each sit
+       on their own cache line.}
     {- {b Batched release draining.}  {!release} does not run the
        protocol's [release_name]: the lease parks in the client's warm
        cache or on the shard's pending list, and whichever client

@@ -16,6 +16,54 @@ let test_atomic_store () =
   ops.write a 7;
   Alcotest.(check int) "written" 7 (Runtime.Atomic_store.get store a)
 
+(* Every Pad cell and every Atomic_store register must stay a
+   line-sized block after promotion: OCaml 5 moves 2-word atomics into
+   a size-segregated pool, four to a cache line, so only the block's
+   own size keeps two hot words apart. *)
+let test_pad_layout () =
+  let cells = Runtime.Pad.cells (Runtime.Pad.create 8 0) in
+  ignore (Atomic.fetch_and_add cells.(3) 5 : int);
+  Alcotest.(check bool) "cas on a fresh cell" true (Atomic.compare_and_set cells.(5) 0 42);
+  let layout = Layout.create () in
+  let regs = Array.init 6 (fun i -> Layout.alloc layout ~name:(Printf.sprintf "r%d" i) i) in
+  let store = Runtime.Atomic_store.create layout in
+  (Runtime.Atomic_store.ops store ~pid:0).write regs.(2) 17;
+  Gc.full_major ();
+  let line_sized what v =
+    Alcotest.(check bool)
+      (what ^ " is a line-sized block") true
+      (Obj.size (Obj.repr v) >= Runtime.Pad.line_words)
+  in
+  Array.iteri (fun i c -> line_sized (Printf.sprintf "pad cell %d" i) c) cells;
+  (* the store is its array of registers *)
+  let r = Obj.repr store in
+  Alcotest.(check int) "one register per cell" (Array.length regs) (Obj.size r);
+  for i = 0 to Obj.size r - 1 do
+    line_sized (Printf.sprintf "register %d" i) (Obj.field r i)
+  done;
+  Alcotest.(check (array int))
+    "pad values survive the collection" [| 0; 0; 0; 5; 0; 42; 0; 0 |]
+    (Array.map Atomic.get cells);
+  Alcotest.(check (array int))
+    "register values survive the collection" [| 0; 1; 17; 3; 4; 5 |]
+    (Array.map (Runtime.Atomic_store.get store) regs)
+
+let test_pad_two_domains () =
+  let iters = 200_000 in
+  let cells = Runtime.Pad.cells (Runtime.Pad.create 2 0) in
+  Gc.full_major ();
+  let ds =
+    Array.init 2 (fun d ->
+        Domain.spawn (fun () ->
+            for _ = 1 to iters do
+              Atomic.incr cells.(d);
+              ignore (Atomic.fetch_and_add cells.(1 - d) 2 : int)
+            done))
+  in
+  Array.iter Domain.join ds;
+  Alcotest.(check (array int)) "exact sums" [| 3 * iters; 3 * iters |]
+    (Array.map Atomic.get cells)
+
 let test_split_domains () =
   let k = 4 in
   let layout = Layout.create () in
@@ -240,7 +288,12 @@ let test_run_vs_recovered_schema () =
 let () =
   Alcotest.run "runtime"
     [
-      ("store", [ Alcotest.test_case "atomic store" `Quick test_atomic_store ]);
+      ( "store",
+        [
+          Alcotest.test_case "atomic store" `Quick test_atomic_store;
+          Alcotest.test_case "pad cells and registers are line-sized" `Quick test_pad_layout;
+          Alcotest.test_case "adjacent pad cells across domains" `Quick test_pad_two_domains;
+        ] );
       ( "domains",
         [
           Alcotest.test_case "split across domains" `Slow test_split_domains;

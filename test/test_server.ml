@@ -106,6 +106,49 @@ let test_double_release_rejected () =
         (fun () -> Server.release t c ~token:g.token)
   | _ -> Alcotest.fail "not granted"
 
+(* --- the slab: shard [sh] serves tokens from [sh*k, (sh+1)*k) only --- *)
+
+let test_shard_slab_ranges () =
+  let shards = 4 and k = 4 in
+  let t = Server.create (cfg ~shards ~k ~clients:1 ()) in
+  let c = Server.client t 0 in
+  (* the first k+1 sources routed to each shard *)
+  let on_shard = Array.make shards [] in
+  for src = 1023 downto 0 do
+    let sh = Server.shard_of t ~src in
+    on_shard.(sh) <- src :: on_shard.(sh)
+  done;
+  let in_range sh token =
+    Alcotest.(check bool)
+      (Printf.sprintf "token %d in shard %d's range" token sh)
+      true
+      (token >= k * sh && token < (k * sh) + k)
+  in
+  for _round = 1 to 2 do
+    for sh = 0 to shards - 1 do
+      let srcs = List.filteri (fun i _ -> i <= k) on_shard.(sh) in
+      let held = List.filteri (fun i _ -> i < k) srcs and extra = List.nth srcs k in
+      let tokens =
+        List.map
+          (fun src ->
+            match Server.acquire t c ~src with
+            | Server.Granted g ->
+                in_range sh g.token;
+                g.token
+            | _ -> Alcotest.fail "a shard with room must grant")
+          held
+      in
+      (match Server.acquire t c ~src:extra with
+      | Server.Shed -> ()
+      | _ -> Alcotest.fail "the (k+1)-th source on a full shard must Shed");
+      List.iter (fun token -> Server.release t c ~token) tokens
+    done;
+    Server.flush t c;
+    Alcotest.(check int) "whole slab free" (shards * k) (Server.probe_free t);
+    Alcotest.(check int) "nothing outstanding" 0 (Server.outstanding t)
+  done;
+  Alcotest.(check int) "no violations" 0 (Agg.result (Server.scoreboard t)).Agg.violations
+
 (* --- warm-cache uniqueness with a concurrent stealer --- *)
 
 let test_warm_vs_stealer () =
@@ -425,6 +468,8 @@ let () =
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
+          Alcotest.test_case "each shard grants from its own slab range" `Quick
+            test_shard_slab_ranges;
           Alcotest.test_case "registry mirrors client counters" `Quick
             test_registry_mirrors_clients;
         ] );
