@@ -319,26 +319,13 @@ let run_obs_bench ~smoke ~rebaseline () =
   let pid = 123_456_789 in
   let bare_ops = Store.seq_ops mem ~pid in
   let registry = Obs.Registry.create () in
-  let sh = Obs.Registry.shard ~span_capacity:4096 registry in
-  (* Mirrors Domain_runner's per-operation instrumentation: the flat
-     tally arena (grouped access counts materialize at snapshot, not
-     per access), a span per op clocked by its own access delta, and
-     op.*.accesses histograms through handles resolved once. *)
-  let tally = Store.tally () in
-  let inst_ops = Store.observed_into tally sh bare_ops in
-  let clock = ref 0 in
-  let get_h = Obs.Registry.histogram sh "op.get.accesses" in
-  let get_c = Obs.Registry.counter sh "op.get.count" in
-  let rel_h = Obs.Registry.histogram sh "op.release.accesses" in
-  let rel_c = Obs.Registry.counter sh "op.release.count" in
-  let record op hist count annotations =
-    let accesses = Store.tally_since tally in
-    Obs.Registry.record_span sh ~name:op ~pid ~start_step:!clock
-      ~end_step:(!clock + accesses) ~accesses ~annotations;
-    clock := !clock + accesses;
-    Obs.Histogram.observe hist accesses;
-    Obs.Counter.incr count
-  in
+  (* Domain_runner's own per-worker instrumentation, the path a real
+     run takes: the flat tally arena (grouped access counts
+     materialize at snapshot, not per access) and the per-op
+     recorders (a span clocked by the op's access delta plus the
+     op.*.accesses histogram). *)
+  let ins = Runtime.Domain_runner.instrument ~registry:(Some registry) ~ring:None ~pid bare_ops in
+  let tally = ins.tally and inst_ops = ins.ops in
   let bare () =
     let lease = Split.get_name sp bare_ops in
     Split.release_name sp bare_ops lease
@@ -346,10 +333,10 @@ let run_obs_bench ~smoke ~rebaseline () =
   let instrumented () =
     Store.tally_mark tally;
     let lease = Split.get_name sp inst_ops in
-    record "get" get_h get_c [ ("name", Split.name_of sp lease) ];
+    ins.got (Split.name_of sp lease);
     Store.tally_mark tally;
     Split.release_name sp inst_ops lease;
-    record "release" rel_h rel_c []
+    ins.released ()
   in
   let reps = if smoke then 1 else 3 in
   let iters = if smoke then 50_000 else 500_000 in
@@ -856,18 +843,18 @@ let run_backends_bench ~smoke () =
         name_space := A.name_space proto;
         let work = Layout.alloc layout ~name:"work" 0 in
         let body (ops : Store.ops) =
-          let c = Store.counter () in
-          let counted = Store.counting c ops in
+          let c = Store.tally () in
+          let counted = Store.tallying c ops in
           for _ = 1 to cycles do
-            Store.reset c;
+            Store.tally_mark c;
             let lease = A.get_name proto counted in
-            get_costs := Store.accesses c :: !get_costs;
+            get_costs := Store.tally_since c :: !get_costs;
             Sim.Sched.emit (Sim.Event.Acquired (A.name_of proto lease));
             ignore (ops.read work);
             Sim.Sched.emit (Sim.Event.Released (A.name_of proto lease));
-            Store.reset c;
+            Store.tally_mark c;
             A.release_name proto counted lease;
-            rel_costs := Store.accesses c :: !rel_costs
+            rel_costs := Store.tally_since c :: !rel_costs
           done
         in
         let u = Sim.Checks.uniqueness ~name_space:!name_space () in

@@ -144,20 +144,20 @@ let simulate protocol k s procs cycles seed crash metrics =
   in
   let get_costs = ref [] and rel_costs = ref [] in
   let body (ops : Store.ops) =
-    let c = Store.counter () in
-    let counted = Store.counting c ops in
+    let c = Store.tally () in
+    let counted = Store.tallying c ops in
     for _ = 1 to cycles do
-      Store.reset c;
+      Store.tally_mark c;
       Sim.Observe.op_begin "get";
       let lease = P.get_name inst counted in
-      get_costs := Store.accesses c :: !get_costs;
+      get_costs := Store.tally_since c :: !get_costs;
       Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
       ignore (ops.read work);
       Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-      Store.reset c;
+      Store.tally_mark c;
       Sim.Observe.op_begin "release";
       P.release_name inst counted lease;
-      rel_costs := Store.accesses c :: !rel_costs
+      rel_costs := Store.tally_since c :: !rel_costs
     done
   in
   let u = Sim.Checks.uniqueness ~name_space:(P.name_space inst) () in

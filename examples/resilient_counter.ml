@@ -49,31 +49,31 @@ let run_without_renaming () =
   let layout = Layout.create () in
   let counter = Collect_counter.create layout ~names:s in
   let mem = Store.seq_create layout in
-  let cost = Store.counter () in
+  let cost = Store.tally () in
   let total = ref 0 in
   Array.iter
     (fun pid ->
-      let ops = Store.counting cost (Store.seq_ops mem ~pid) in
+      let ops = Store.tallying cost (Store.seq_ops mem ~pid) in
       (* without renaming, the only safe slot is your source name *)
       total := session counter ops ~slot:pid ~adds:3)
     pids;
-  (!total, Store.accesses cost)
+  (!total, Store.tally_since cost)
 
 let run_with_renaming () =
   let layout = Layout.create () in
   let protocol = Pipeline.create layout ~k ~s ~participants:pids in
   let counter = Collect_counter.create layout ~names:(Pipeline.name_space protocol) in
   let mem = Store.seq_create layout in
-  let cost = Store.counter () in
+  let cost = Store.tally () in
   let total = ref 0 in
   Array.iter
     (fun pid ->
-      let ops = Store.counting cost (Store.seq_ops mem ~pid) in
+      let ops = Store.tallying cost (Store.seq_ops mem ~pid) in
       let lease = Pipeline.get_name protocol ops in
       total := session counter ops ~slot:(Pipeline.name_of protocol lease) ~adds:3;
       Pipeline.release_name protocol ops lease)
     pids;
-  (!total, Store.accesses cost)
+  (!total, Store.tally_since cost)
 
 let () =
   let sum_plain, cost_plain = run_without_renaming () in

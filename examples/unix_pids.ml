@@ -35,16 +35,16 @@ let () =
   let costs = ref [] in
   let slot_body i (ops : Store.ops) =
     let pids = slot_pids i in
-    let c = Store.counter () in
+    let c = Store.tally () in
     for cycle = 0 to (3 * per_slot) - 1 do
-      let ops = Store.counting c { ops with pid = pids.(cycle mod per_slot) } in
-      Store.reset c;
+      let ops = Store.tallying c { ops with pid = pids.(cycle mod per_slot) } in
+      Store.tally_mark c;
       let lease = Pipeline.get_name protocol ops in
       Sim.Sched.emit (Sim.Event.Acquired (Pipeline.name_of protocol lease));
       ignore (ops.read work);
       Sim.Sched.emit (Sim.Event.Released (Pipeline.name_of protocol lease));
       Pipeline.release_name protocol ops lease;
-      costs := Store.accesses c :: !costs
+      costs := Store.tally_since c :: !costs
     done
   in
   let u = Sim.Checks.uniqueness ~name_space:(Pipeline.name_space protocol) () in

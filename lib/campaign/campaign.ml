@@ -156,12 +156,12 @@ let costly_config ~k ~s ~pids ~cycles () : MC.config =
   let bound = (k * (s + 4)) + 1 in
   let u = Sim.Checks.uniqueness ~name_space:(M.name_space m) () in
   let body (ops : Store.ops) =
-    let c = Store.counter () in
-    let counted = Store.counting c ops in
+    let c = Store.tally () in
+    let counted = Store.tallying c ops in
     for _ = 1 to cycles do
-      Store.reset c;
+      Store.tally_mark c;
       let lease = M.get_name m counted in
-      Sim.Sched.emit (Sim.Event.Note ("get_cost", Store.accesses c));
+      Sim.Sched.emit (Sim.Event.Note ("get_cost", Store.tally_since c));
       Sim.Sched.emit (Sim.Event.Acquired (M.name_of m lease));
       ignore (ops.read work);
       Sim.Sched.emit (Sim.Event.Released (M.name_of m lease));

@@ -716,12 +716,12 @@ let e9_crash_tolerance () =
     let done_cycles = Array.make (Array.length pids) 0 in
     let gets = ref [] in
     let body i (ops : Store.ops) =
-      let c = Store.counter () in
-      let counted = Store.counting c ops in
+      let c = Store.tally () in
+      let counted = Store.tallying c ops in
       for _ = 1 to cycles do
-        Store.reset c;
+        Store.tally_mark c;
         let lease = P.get_name inst counted in
-        if i = 0 then gets := Store.accesses c :: !gets;
+        if i = 0 then gets := Store.tally_since c :: !gets;
         Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
         ignore (ops.read work);
         Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
@@ -1002,10 +1002,10 @@ let e11_one_time () =
         let ot = Renaming.One_time.create layout ~k in
         let costs = ref [] in
         let body (ops : Store.ops) =
-          let c = Store.counter () in
-          let counted = Store.counting c ops in
+          let c = Store.tally () in
+          let counted = Store.tallying c ops in
           let name = Renaming.One_time.get_name ot counted in
-          costs := Store.accesses c :: !costs;
+          costs := Store.tally_since c :: !costs;
           Sim.Sched.emit (Sim.Event.Acquired name)
         in
         List.iter

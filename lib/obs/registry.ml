@@ -57,8 +57,21 @@ let count s name v = Counter.add (counter s name) v
 let observe s name v = Histogram.observe (histogram s name) v
 let span s sp = Span.add s.spans sp
 
-let record_span s ~name ~pid ~start_step ~end_step ~accesses ~annotations =
-  Span.record s.spans ~name ~pid ~start_step ~end_step ~accesses ~annotations
+type op = { name : string; ring : Span.collector; hist : Histogram.t; count : Counter.t }
+
+let op s name =
+  {
+    name;
+    ring = s.spans;
+    hist = histogram s ("op." ^ name ^ ".accesses");
+    count = counter s ("op." ^ name ^ ".count");
+  }
+
+let record o ~pid ~start_step ~end_step ~accesses ~annotations =
+  Span.record o.ring ~name:o.name ~pid ~start_step ~end_step ~accesses ~annotations;
+  Histogram.observe o.hist accesses;
+  Counter.incr o.count
+
 let shard_spans s = Span.items s.spans
 let shard_spans_dropped s = Span.dropped s.spans
 

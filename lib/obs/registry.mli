@@ -52,17 +52,30 @@ val observe : shard -> string -> int -> unit
 
 val span : shard -> Span.t -> unit
 
-val record_span :
-  shard ->
-  name:string ->
+(** {1 Operation records}
+
+    One handle per (shard, operation): the single writer of a
+    per-operation span and of the [op.<op>.accesses] histogram and
+    [op.<op>.count] counter, for the simulator ([Sim.Observe]), the
+    domain runner and the obs bench alike. *)
+
+type op
+
+val op : shard -> string -> op
+(** [op sh name] resolves, once, the shard's span ring and the
+    [op.<name>.accesses] / [op.<name>.count] metrics (creating them). *)
+
+val record :
+  op ->
   pid:int ->
   start_step:int ->
   end_step:int ->
   accesses:int ->
   annotations:(string * int) list ->
   unit
-(** Allocation-free {!Span.record} into the shard's ring — the hot
-    per-operation path; {!span} is the record-building convenience. *)
+(** One finished operation: a span in the ring ({!Span.record}), one
+    [accesses] observation and one count.  Allocates nothing —
+    [annotations] is stored as given. *)
 
 val shard_spans : shard -> Span.t list
 (** This shard's recorded spans, oldest first — the harness reads its

@@ -22,41 +22,55 @@ let agg ~entry ~name_space ~pids ~faults =
   Agg.create ~entry ~name_space ~workers:(Array.length pids)
     ~parked:(List.length (List.filter (fun (_, f) -> f = Park_holding) faults))
 
-(* Per-domain Obs instrumentation: one [Store.tally] arena on [ops]
-   (grouped access counts materialize at snapshot), one span per
-   operation clocked by the worker's own access count, and the
-   op.*.accesses histograms.  Metric handles are resolved once per op
-   name, not per call — no string building on the cycle path. *)
-let instrument ~registry ~pid raw =
-  let shard = Option.map (fun r -> Obs.Registry.shard r) registry in
-  let t = Store.tally () in
-  let ops =
+(* Per-worker instrumentation.  One [Store.tally] arena on [ops]
+   serves every count: the grouped store counters (materialized at
+   snapshot) when a registry is wired, each operation's access count
+   (mark/since) for the [Obs.Registry.op] recorders, and the flight
+   clock (the never-reset running total).  The span clock is the
+   worker's own access count: real time is preemptive, and global
+   step order is not observable the way it is under the simulator;
+   cross-domain ordering is not claimed — see the Flight doc. *)
+type instr = {
+  shard : Obs.Registry.shard option;
+  tally : Store.tally;
+  ops : Store.ops;
+  fly : Obs.Flight.event -> unit;
+  got : int -> unit;  (* record a get that returned this name *)
+  released : unit -> unit;  (* record a release *)
+}
+
+let instrument ~registry ~ring ~pid raw =
+  let tally = Store.tally () in
+  let shard = Option.map Obs.Registry.shard registry in
+  let ops = match shard with None -> raw | Some sh -> Store.observed_into tally sh raw in
+  let ops, fly =
+    match ring with
+    | None -> (ops, ignore)
+    | Some ring ->
+        (* without a registry the ops aren't tallied yet — the flight
+           clock still needs the total, so count into the same arena *)
+        let ops = if Option.is_none shard then Store.tallying tally ops else ops in
+        ( Store.probed
+            (Obs.Flight.probe ring ~pid ~clock:(fun () -> Store.tally_total tally))
+            ops,
+          fun ev -> Obs.Flight.record ring ~clock:(Store.tally_total tally) ~pid ev )
+  in
+  let got, released =
     match shard with
-    | None -> raw
-    | Some sh -> Store.observed_into t sh raw
+    | None -> (ignore, ignore)
+    | Some sh ->
+        let get = lazy (Obs.Registry.op sh "get")
+        and release = lazy (Obs.Registry.op sh "release") in
+        let clock = ref 0 in
+        let record op annotations =
+          let accesses = Store.tally_since tally in
+          Obs.Registry.record (Lazy.force op) ~pid ~start_step:!clock
+            ~end_step:(!clock + accesses) ~accesses ~annotations;
+          clock := !clock + accesses
+        in
+        ((fun n -> record get [ ("name", n) ]), fun () -> record release [])
   in
-  let clock = ref 0 in
-  let handles = ref [] in
-  let record sh op annotations =
-    let accesses = Store.tally_since t in
-    Obs.Registry.record_span sh ~name:op ~pid ~start_step:!clock
-      ~end_step:(!clock + accesses) ~accesses ~annotations;
-    clock := !clock + accesses;
-    let hist, count =
-      match List.assoc_opt op !handles with
-      | Some h -> h
-      | None ->
-          let h =
-            ( Obs.Registry.histogram sh ("op." ^ op ^ ".accesses"),
-              Obs.Registry.counter sh ("op." ^ op ^ ".count") )
-          in
-          handles := (op, h) :: !handles;
-          h
-    in
-    Obs.Histogram.observe hist accesses;
-    Obs.Counter.incr count
-  in
-  (shard, t, ops, record)
+  { shard; tally; ops; fly; got; released }
 
 (* One worker's names.* metrics, each resolved on first use and then
    cached, the per-name gauges in an array indexed by name: the cycle
@@ -118,178 +132,125 @@ let spin n =
     Domain.cpu_relax ()
   done
 
+(* The one worker loop: instrumentation, then the fault dispatch over
+   an acquire/hold/release triple.  [get] runs the protocol's acquire
+   and returns [None] when the entrant was shed (the cycle is
+   skipped); [hold] runs once per held cycle, and over and over while
+   parked.  Parked workers hold their name until every non-parked
+   worker has finished all its cycles — so parking cannot hang the
+   run, and the others' completion IS the wait-freedom assertion. *)
+let worker agg ~registry ~ring ~name_space ~cycles ~fault ~get ~name ~hold ~put i raw =
+  let pid = raw.Store.pid in
+  let ins = instrument ~registry ~ring ~pid raw in
+  let ops = ins.ops in
+  let names = names ins.shard ~name_space in
+  let acquire () =
+    Store.tally_mark ins.tally;
+    match get ops with
+    | None ->
+        (match ins.shard with Some sh -> Obs.Registry.inc sh "names.shed" | None -> ());
+        None
+    | Some lease as held ->
+        let n = name lease in
+        ins.fly (Obs.Flight.Acquired n);
+        ins.got n;
+        let held_n, conc = Agg.acquired agg ~worker:i ~name:n in
+        gauge_acquired names ~name:n ~held:held_n ~conc;
+        held
+  in
+  let release lease =
+    let n = name lease in
+    Agg.released agg ~name:n;
+    gauge_released names ~name:n;
+    Store.tally_mark ins.tally;
+    put ops lease;
+    ins.fly (Obs.Flight.Released n);
+    ins.released ()
+  in
+  let full_cycle fault cy =
+    match acquire () with
+    | None -> ()
+    | Some lease ->
+        (match fault with
+        | Some (Stall_holding { cycle; spins }) when cy = cycle -> spin spins
+        | Some (Slow n) -> spin n
+        | _ -> ());
+        hold ops lease;
+        release lease;
+        (match fault with Some (Slow n) -> spin n | _ -> ());
+        Agg.cycle_done agg i
+  in
+  match fault with
+  | Some Park_holding -> (
+      match acquire () with
+      | None -> () (* shed before parking: nothing held, just exit *)
+      | Some lease ->
+          while not (Agg.all_normal_done agg) do
+            hold ops lease
+          done;
+          release lease)
+  | Some (Crash_holding { cycle }) ->
+      for cy = 0 to cycle - 1 do
+        full_cycle None cy
+      done;
+      (* die holding: the domain exits without releasing — the name
+         and its register footprint leak unless a recovery layer
+         reclaims them (see [run_recovered]) *)
+      ignore (acquire ());
+      Agg.worker_done agg
+  | fault ->
+      for cy = 0 to cycles - 1 do
+        full_cycle fault cy
+      done;
+      Agg.worker_done agg
+
+let spawn store ~pids worker =
+  let domains =
+    Array.mapi (fun i pid -> Domain.spawn (fun () -> worker i (Atomic_store.ops store ~pid))) pids
+  in
+  Array.iter Domain.join domains
+
 let run (type a) ?registry ?flight ?(faults = [])
     (module P : Renaming.Protocol.S with type t = a) (inst : a) ~layout ~pids ~cycles
     ~name_space =
   let store = Atomic_store.create layout in
   (* Per-worker rings, merged into [flight] in worker order after the
      join — each ring has a single writer, so recording is unsynchronized. *)
-  let worker_rings =
-    match flight with
-    | None -> [||]
-    | Some ring ->
-        let per =
-          max 1024 (Obs.Flight.capacity ring / max 1 (Array.length pids))
-        in
-        Array.map (fun _ -> Obs.Flight.create ~capacity:per ()) pids
+  let rings =
+    Option.map
+      (fun ring ->
+        let per = max 1024 (Obs.Flight.capacity ring / max 1 (Array.length pids)) in
+        Array.map (fun _ -> Obs.Flight.create ~capacity:per ()) pids)
+      flight
   in
-  (* parked workers hold their name until every non-parked worker has
-     finished all its cycles — so parking cannot hang the run, and the
-     others' completion IS the wait-freedom assertion *)
   let agg = agg ~entry:"Domain_runner.run" ~name_space ~pids ~faults in
-  let worker i pid () =
-    (* Each domain writes its own registry shard; shards merge on
-       snapshot, after the join.  The worker's span clock is its own
-       access count (real time is preemptive; global step order is not
-       observable the way it is under the simulator). *)
-    let raw = Atomic_store.ops store ~pid in
-    let shard, t, ops, record = instrument ~registry ~pid raw in
-    let names = names shard ~name_space in
-    (* The flight clock is the domain's own total access count — the
-       tally's never-reset running total (per-operation deltas use
-       mark/since on the same arena, so one count feeds both); cross-
-       domain ordering is not claimed — see the Flight doc. *)
-    let ops, fring =
-      if Array.length worker_rings = 0 then (ops, None)
-      else begin
-        let ring = worker_rings.(i) in
-        (* without a registry the ops aren't tallied yet — the flight
-           clock still needs the total, so count into the same arena *)
-        let ops = if Option.is_none shard then Store.tallying t ops else ops in
-        ( Store.probed
-            (Obs.Flight.probe ring ~pid ~clock:(fun () -> Store.tally_total t))
-            ops,
-          Some ring )
-      end
-    in
-    let fly ev =
-      match fring with
-      | None -> ()
-      | Some ring -> Obs.Flight.record ring ~clock:(Store.tally_total t) ~pid ev
-    in
-    let acquire () =
-      Store.tally_mark t;
-      let lease = P.get_name inst ops in
-      let n = P.name_of inst lease in
-      fly (Obs.Flight.Acquired n);
-      (match shard with Some sh -> record sh "get" [ ("name", n) ] | None -> ());
-      let held, conc = Agg.acquired agg ~worker:i ~name:n in
-      gauge_acquired names ~name:n ~held ~conc;
-      (lease, n)
-    in
-    let release (lease, n) =
-      Agg.released agg ~name:n;
-      gauge_released names ~name:n;
-      Store.tally_mark t;
-      P.release_name inst ops lease;
-      fly (Obs.Flight.Released n);
-      match shard with Some sh -> record sh "release" [] | None -> ()
-    in
-    match List.assoc_opt i faults with
-    | Some Park_holding ->
-        let held = acquire () in
-        while not (Agg.all_normal_done agg) do
-          Domain.cpu_relax ()
-        done;
-        release held
-    | Some (Crash_holding { cycle }) ->
-        for _ = 1 to cycle do
-          let held = acquire () in
-          Domain.cpu_relax ();
-          release held;
-          Agg.cycle_done agg i
-        done;
-        (* die holding: the domain exits without releasing — the name
-           and its register footprint leak unless a recovery layer
-           reclaims them (see [run_recovered]) *)
-        ignore (acquire ());
-        Agg.worker_done agg
-    | fault ->
-        for cy = 0 to cycles - 1 do
-          let held = acquire () in
-          (match fault with
-          | Some (Stall_holding { cycle; spins }) when cy = cycle -> spin spins
-          | Some (Slow n) -> spin n
-          | _ -> ());
-          (* hold the name briefly so overlaps actually occur *)
-          Domain.cpu_relax ();
-          release held;
-          (match fault with Some (Slow n) -> spin n | _ -> ());
-          Agg.cycle_done agg i
-        done;
-        Agg.worker_done agg
-  in
-  let domains = Array.mapi (fun i pid -> Domain.spawn (worker i pid)) pids in
-  Array.iter Domain.join domains;
-  (match flight with
-  | None -> ()
-  | Some ring -> Array.iter (fun r -> Obs.Flight.merge ~into:ring r) worker_rings);
+  spawn store ~pids (fun i ->
+      worker agg ~registry
+        ~ring:(Option.map (fun rs -> rs.(i)) rings)
+        ~name_space ~cycles ~fault:(List.assoc_opt i faults)
+        ~get:(fun ops -> Some (P.get_name inst ops))
+        ~name:(P.name_of inst)
+        (* hold the name briefly so overlaps actually occur *)
+        ~hold:(fun _ _ -> Domain.cpu_relax ())
+        ~put:(P.release_name inst) i);
+  (match (flight, rings) with
+  | Some ring, Some rs -> Array.iter (fun r -> Obs.Flight.merge ~into:ring r) rs
+  | _ -> ());
   Agg.result agg
 
 let run_recovered ?registry ?(faults = []) rc ~layout ~pids ~cycles =
   let name_space = Recovery.name_space rc in
   let store = Atomic_store.create layout in
   let agg = agg ~entry:"Domain_runner.run_recovered" ~name_space ~pids ~faults in
-  let worker i pid () =
-    let raw = Atomic_store.ops store ~pid in
-    let shard, t, ops, record = instrument ~registry ~pid raw in
-    let names = names shard ~name_space in
-    let acquire () =
-      Store.tally_mark t;
-      match Recovery.acquire rc ops with
-      | Recovery.Shed ->
-          (match shard with Some sh -> Obs.Registry.inc sh "names.shed" | None -> ());
-          None
-      | Recovery.Acquired lease ->
-          let n = Recovery.name_of lease in
-          (match shard with Some sh -> record sh "get" [ ("name", n) ] | None -> ());
-          let held, conc = Agg.acquired agg ~worker:i ~name:n in
-          gauge_acquired names ~name:n ~held ~conc;
-          Some (lease, n)
-    in
-    let release (lease, n) =
-      Agg.released agg ~name:n;
-      gauge_released names ~name:n;
-      Store.tally_mark t;
-      ignore (Recovery.release rc ops lease : bool);
-      match shard with Some sh -> record sh "release" [] | None -> ()
-    in
-    let full_cycle fault cy =
-      match acquire () with
-      | None -> () (* shed: skip the cycle, the admission bound held *)
-      | Some ((lease, _) as held) ->
-          (match fault with
-          | Some (Stall_holding { cycle; spins }) when cy = cycle -> spin spins
-          | Some (Slow n) -> spin n
-          | _ -> ());
-          Recovery.heartbeat rc ops lease;
-          release held;
-          (match fault with Some (Slow n) -> spin n | _ -> ());
-          Agg.cycle_done agg i
-    in
-    match List.assoc_opt i faults with
-    | Some Park_holding -> (
-        match acquire () with
-        | None -> () (* shed before parking: nothing held, just exit *)
-        | Some ((lease, _) as held) ->
-            while not (Agg.all_normal_done agg) do
-              Recovery.heartbeat rc ops lease
-            done;
-            release held)
-    | Some (Crash_holding { cycle }) ->
-        for cy = 0 to cycle - 1 do
-          full_cycle None cy
-        done;
-        ignore (acquire ());
-        Agg.worker_done agg
-    | fault ->
-        for cy = 0 to cycles - 1 do
-          full_cycle fault cy
-        done;
-        Agg.worker_done agg
-  in
-  let domains = Array.mapi (fun i pid -> Domain.spawn (worker i pid)) pids in
-  Array.iter Domain.join domains;
+  spawn store ~pids (fun i ->
+      worker agg ~registry ~ring:None ~name_space ~cycles ~fault:(List.assoc_opt i faults)
+        ~get:(fun ops ->
+          match Recovery.acquire rc ops with
+          | Recovery.Shed -> None
+          | Recovery.Acquired lease -> Some lease)
+        ~name:Recovery.name_of ~hold:(Recovery.heartbeat rc)
+        ~put:(fun ops lease -> ignore (Recovery.release rc ops lease : bool))
+        i);
   (* Quiescent reclamation: scanning only after the join means a slow
      live worker can never be falsely expired by real preemption — the
      only leases left now belong to crashed workers. *)

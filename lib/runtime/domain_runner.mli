@@ -7,9 +7,10 @@
 
     When a registry is supplied, every worker writes its own
     {!Obs.Registry.shard} — per-register-group access counters
-    ({!Shared_mem.Store.observed}), [op.get.accesses] /
-    [op.release.accesses] histograms, one span per operation (clocked
-    by the worker's own access count), and [names.held] gauges whose
+    ({!Shared_mem.Store.observed_into}), [op.get.accesses] /
+    [op.release.accesses] histograms and one span per operation
+    (clocked by the worker's own access count) through
+    {!Obs.Registry.op}, and [names.held] gauges whose
     high-water marks are fed from the {e global} holder counters, so
     the merged snapshot after the join carries the same schema a
     simulator run produces through [Sim.Observe].
@@ -116,3 +117,30 @@ val run_recovered :
     [Crash_holding] leaks end at [0] ([result.leaked]) instead of
     poisoning the name space.
     @raise Invalid_argument as {!run}. *)
+
+(** {1 Per-worker instrumentation}
+
+    What every worker of {!run} and {!run_recovered} wraps its store
+    in — exposed so the obs bench prices exactly this path. *)
+
+type instr = {
+  shard : Obs.Registry.shard option;  (** A fresh shard of the registry. *)
+  tally : Shared_mem.Store.tally;
+      (** The worker's one access ledger: mark it before each
+          operation. *)
+  ops : Shared_mem.Store.ops;  (** The instrumented store. *)
+  fly : Obs.Flight.event -> unit;  (** Record into the flight ring. *)
+  got : int -> unit;
+      (** Record a get that returned this name: one span and one
+          [op.get.*] observation of the accesses since the mark. *)
+  released : unit -> unit;  (** The same for a release. *)
+}
+
+val instrument :
+  registry:Obs.Registry.t option ->
+  ring:Obs.Flight.t option ->
+  pid:int ->
+  Shared_mem.Store.ops ->
+  instr
+(** Without a registry [got]/[released] do nothing; without a ring
+    [fly] does nothing. *)

@@ -102,6 +102,10 @@ type client = {
       (* one arena serves the per-operation cost (mark/since), the
          flight clock (running total) and — when a registry is wired —
          the per-group store counters, from one store per access *)
+  holding : Bytes.t;
+      (* per slot: '\001' while this client holds that token — private,
+         so [release] tells a token the reclaimer retired behind its
+         back from one it never held, with no shared store *)
   warm_src : int array;
   warm_slot : int array;
   mutable warm_n : int;  (* entries live at [0, warm_n), oldest first *)
@@ -137,7 +141,6 @@ type t = {
   slot_src : int array;
   slot_name : int array;  (* global: shard base + local name *)
   slot_owner : int array;
-  slot_held : bool array;  (* granted and not yet released *)
   slot_lease : Any.lease option array;
   slot_next : int array;  (* freelist / pending link, -1 terminated *)
   fence : int Atomic.t array;  (* per slot, indexed [slot]: Pad cells *)
@@ -326,7 +329,6 @@ let retire_slot t (c : client) slot ~was_pending ~reset =
   let owner = t.slot_owner.(at slot) in
   let lease = match t.slot_lease.(at slot) with Some l -> l | None -> assert false in
   t.slot_lease.(at slot) <- None;
-  t.slot_held.(at slot) <- false;
   Agg.released t.agg ~name:t.slot_name.(at slot);
   (* Run the protocol release under the original source name.  The
      holder has retired (or been fenced off by its epoch), so no step
@@ -525,7 +527,7 @@ let cold_grant ?(t0 = 0) t c ~src ~sh =
   t.slot_src.(at slot) <- src;
   t.slot_name.(at slot) <- name;
   t.slot_owner.(at slot) <- c.id;
-  t.slot_held.(at slot) <- true;
+  Bytes.set c.holding slot '\001';
   t.slot_lease.(at slot) <- Some lease;
   (* publish last: the slot only becomes visible to retirers once its
      fields are in place *)
@@ -582,7 +584,7 @@ let acquire t c ~src =
     let slot = c.warm_slot.(r) in
     warm_remove c r;
     if Atomic.compare_and_set t.fence.(slot) fence_warm fence_held then begin
-      t.slot_held.(at slot) <- true;
+      Bytes.set c.holding slot '\001';
       c.acquires <- c.acquires + 1;
       c.warm_hits <- c.warm_hits + 1;
       (match c.jr with Some j -> Obs.Journey.warm j | None -> ());
@@ -599,8 +601,9 @@ let acquire t c ~src =
   else acquire_cold t c ~src
 
 let release t c ~token =
-  if token < 0 || token >= t.cap then
+  if token < 0 || token >= t.cap || Bytes.get c.holding token = '\000' then
     invalid_arg "Server.release: not a token this client holds";
+  Bytes.set c.holding token '\000';
   (* the Release dwell covers the fence transition and warm-cache
      bookkeeping only; time spent in [pending_release]/[drain_shard]
      is stamped by those (Pending/Drain), so the stages partition *)
@@ -613,50 +616,49 @@ let release t c ~token =
       jend := jblame_t c Obs.Journey.Release jt0
     end
   in
-  if check_epoch t c then begin
+  let fenced = check_epoch t c in
+  (* The owner check keeps us off a slot the reclaimer retired and
+     re-granted to another client: its fence reads HELD again. *)
+  let ours = t.slot_owner.(at token) = c.id in
+  if fenced then begin
     (* Declared dead while holding: if the reclaimer got to the slot
        first it is already retired (the fence CAS below fails); if it
        didn't, retire it through pending ourselves.  Either way the
        caller's token dies silently — it was fenced, not mis-used. *)
-    if t.slot_owner.(at token) = c.id && t.slot_held.(at token) then begin
-      t.slot_held.(at token) <- false;
-      if Atomic.compare_and_set t.fence.(token) fence_held fence_pending then begin
-        jrel ();
-        pending_release ~t0:!jend t c (slot_shard t token) token
-      end
+    if ours && Atomic.compare_and_set t.fence.(token) fence_held fence_pending then begin
+      jrel ();
+      pending_release ~t0:!jend t c (slot_shard t token) token
     end;
     jrel ()
   end
-  else if t.slot_owner.(at token) <> c.id || not t.slot_held.(at token) then
-    invalid_arg "Server.release: not a token this client holds"
-  else begin
-    t.slot_held.(at token) <- false;
-    if Atomic.compare_and_set t.fence.(token) fence_held fence_warm then begin
-      if t.cfg.warm_capacity > 0 then begin
-        if c.warm_n = t.cfg.warm_capacity then begin
-          let old = c.warm_slot.(0) in
-          let osh = slot_shard t old in
-          warm_remove c 0;
-          if Atomic.compare_and_set t.fence.(old) fence_warm fence_pending then begin
-            jrel ();
-            pending_release ~t0:!jend t c osh old
-          end
-          else c.fenced <- c.fenced + 1
-        end;
-        c.warm_src.(c.warm_n) <- t.slot_src.(at token);
-        c.warm_slot.(c.warm_n) <- token;
-        c.warm_n <- c.warm_n + 1
-      end
-      else if Atomic.compare_and_set t.fence.(token) fence_warm fence_pending then begin
-        jrel ();
-        pending_release ~t0:!jend t c (slot_shard t token) token
-      end
-      else c.fenced <- c.fenced + 1
+  else if ours && Atomic.compare_and_set t.fence.(token) fence_held fence_warm then begin
+    if t.cfg.warm_capacity > 0 then begin
+      if c.warm_n = t.cfg.warm_capacity then begin
+        let old = c.warm_slot.(0) in
+        let osh = slot_shard t old in
+        warm_remove c 0;
+        if Atomic.compare_and_set t.fence.(old) fence_warm fence_pending then begin
+          jrel ();
+          pending_release ~t0:!jend t c osh old
+        end
+        else c.fenced <- c.fenced + 1
+      end;
+      c.warm_src.(c.warm_n) <- t.slot_src.(at token);
+      c.warm_slot.(c.warm_n) <- token;
+      c.warm_n <- c.warm_n + 1
     end
-    else
-      (* reclaimed between grant and release (we were falsely expired
-         and re-synced meanwhile) — the lease is already retired *)
-      c.fenced <- c.fenced + 1;
+    else if Atomic.compare_and_set t.fence.(token) fence_warm fence_pending then begin
+      jrel ();
+      pending_release ~t0:!jend t c (slot_shard t token) token
+    end
+    else c.fenced <- c.fenced + 1;
+    jrel ()
+  end
+  else begin
+    (* Retired behind our back: the reclaimer declared us dead after
+       the epoch check above, or before an earlier resync (a flush,
+       tend or acquire) already caught us up.  Fenced, not mis-used. *)
+    c.fenced <- c.fenced + 1;
     jrel ()
   end
 
@@ -1086,6 +1088,7 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
           jr = Option.map (fun a -> a.(id)) journeys;
           ops;
           tally;
+          holding = Bytes.make cap '\000';
           warm_src = Array.make (max 1 cfg.warm_capacity) (-1);
           warm_slot = Array.make (max 1 cfg.warm_capacity) (-1);
           warm_n = 0;
@@ -1121,7 +1124,6 @@ let create ?registry ?flight ?journeys ?(backend = default_backend) ?(parked = 0
     slot_src = Array.make (at cap) (-1);
     slot_name = Array.make (at cap) (-1);
     slot_owner = Array.make (at cap) (-1);
-    slot_held = Array.make (at cap) false;
     slot_lease = Array.make (at cap) None;
     slot_next;
     fence = Array.init cap (fun _ -> Pad.make fence_free);

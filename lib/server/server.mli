@@ -166,10 +166,12 @@ val release : t -> client -> token:int -> unit
     oldest warm lease onto the shard's pending list when full), or
     straight onto the pending list when caching is off.  Drains the
     shard when the batch threshold trips.  A client that was declared
-    dead and fenced does {e not} raise here: its token was retired on
-    its behalf (or is now), and the release is absorbed silently.
-    @raise Invalid_argument if [token] is not a slot this client
-    holds. *)
+    dead and fenced does {e not} raise here, whether or not it has
+    resynced since: its token was retired on its behalf (or is now),
+    and the release is counted in [fenced] and otherwise absorbed.  A
+    retired slot already re-granted to another client is left alone.
+    @raise Invalid_argument if [token] was never granted to this
+    client or has already been released. *)
 
 val flush : t -> client -> unit
 (** Push every warm lease this client caches onto its shard's pending

@@ -48,33 +48,9 @@ val seq_get : seq -> Cell.t -> int
 val seq_set : seq -> Cell.t -> int -> unit
 (** Direct mutation of a register (test helper, not a protocol step). *)
 
-(** {1 Access counting}
-
-    Both counting wrappers are backed by [lib/obs] counters, so the
-    per-operation tallies below and the registry's per-group series are
-    bumped by the same primitive and can never drift. *)
-
-type counter
-(** A pair of {!Obs.Counter.t}s (reads, writes) for one process's
-    current operation. *)
-
-val counter : unit -> counter
-
-val counting : counter -> ops -> ops
-(** [counting c ops] forwards to [ops] and tallies accesses in [c].
-    An [rmw] is one atomic access and tallies as a write. *)
-
-val reads : counter -> int
-val writes : counter -> int
-
-val accesses : counter -> int
-(** [reads + writes] — the paper's complexity measure. *)
-
-val reset : counter -> unit
-
 val group : Cell.t -> string
-(** The register-group key used by {!observed}: the cell's name up to
-    the first ['[']. *)
+(** The register-group key used by {!observed_into}: the cell's name
+    up to the first ['[']. *)
 
 val probed : Obs.Probe.t -> ops -> ops
 (** [probed p ops] is [ops] with [p] installed as the structural
@@ -83,17 +59,19 @@ val probed : Obs.Probe.t -> ops -> ops
     (pipeline chaining, crash recovery) carries the probe along
     unchanged, so attribution stays with the original process. *)
 
-(** {1 The access arena}
+(** {1 The access ledger}
 
-    A {!tally} is one process's flat, preallocated access ledger:
-    per-register-kind counts indexed by dense {!Cell.id} plus a
-    running total, all plain int-array stores on the hot path.  It
-    replaces stacking [counting] layers on top of [observed] — one
-    arena serves per-group registry metrics ({e deferred}: deltas are
-    pushed only when a snapshot runs), per-operation access counts
-    ([tally_mark]/[tally_since]) and the flight recorder's logical
-    clock ([tally_total]) from a single branch + store per access.
-    Single-writer, like every registry shard. *)
+    A {!tally} is one process's flat, preallocated access ledger and
+    the one access counter on the [ops] seam (the paper's complexity
+    measure; the simulator's [Sim.Observe] counts from the scheduler's
+    access stream instead): per-register-kind counts indexed by dense
+    {!Cell.id} plus a running total, all plain int-array stores on the
+    hot path.  One arena serves per-group registry metrics ({e
+    deferred}: deltas are pushed only when a snapshot runs),
+    per-operation access counts ([tally_mark]/[tally_since]) and the
+    flight recorder's logical clock ([tally_total]).  Every access —
+    read, write or [rmw] — counts one.  Single-writer, like every
+    registry shard. *)
 
 type tally
 
@@ -130,7 +108,22 @@ val tally_flush : tally -> unit
     {!Obs.Registry.on_snapshot}, so explicit calls are rarely
     needed. *)
 
-val observed : Obs.Registry.shard -> ops -> ops
-(** [observed shard ops] = [observed_into (tally ()) shard ops] — the
-    per-register-group counters land in [shard] with the same names as
-    always, just deferred until snapshot. *)
+(** {2 Pre-tally names}
+
+    Aliases kept for one caller, the [perfbench/] harness, which runs
+    unchanged against every commit it compares; new code uses the
+    tally names above. *)
+
+type counter = tally
+
+val counter : unit -> counter
+(** = {!tally}. *)
+
+val counting : counter -> ops -> ops
+(** = {!tallying}. *)
+
+val reset : counter -> unit
+(** = {!tally_mark}. *)
+
+val accesses : counter -> int
+(** = {!tally_since}. *)

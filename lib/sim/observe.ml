@@ -10,6 +10,7 @@ type op_state = {
 type t = {
   shard : Obs.Registry.shard;
   procs : (int, op_state) Hashtbl.t;
+  ops : (string, Obs.Registry.op) Hashtbl.t;
   cell_counters : (int, Obs.Counter.t * Obs.Counter.t * Obs.Counter.t) Hashtbl.t;
   total_reads : Obs.Counter.t;
   total_writes : Obs.Counter.t;
@@ -23,6 +24,7 @@ let create shard =
   {
     shard;
     procs = Hashtbl.create 8;
+    ops = Hashtbl.create 4;
     cell_counters = Hashtbl.create 16;
     total_reads = Obs.Registry.counter shard "store.reads";
     total_writes = Obs.Registry.counter shard "store.writes";
@@ -60,17 +62,16 @@ let close_op t proc st =
   | None -> ()
   | Some name ->
       let pid = match t.sched with Some s -> Sched.pid_of s proc | None -> proc in
-      Obs.Registry.span t.shard
-        {
-          name;
-          pid;
-          start_step = st.start;
-          end_step = now t;
-          accesses = st.accesses;
-          annotations = List.rev st.notes;
-        };
-      Obs.Registry.observe t.shard ("op." ^ name ^ ".accesses") st.accesses;
-      Obs.Registry.inc t.shard ("op." ^ name ^ ".count");
+      let op =
+        match Hashtbl.find_opt t.ops name with
+        | Some op -> op
+        | None ->
+            let op = Obs.Registry.op t.shard name in
+            Hashtbl.add t.ops name op;
+            op
+      in
+      Obs.Registry.record op ~pid ~start_step:st.start ~end_step:(now t)
+        ~accesses:st.accesses ~annotations:(List.rev st.notes);
       st.op <- None;
       st.accesses <- 0;
       st.notes <- []

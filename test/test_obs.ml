@@ -358,7 +358,7 @@ let test_export_text () =
     (fun sub -> Alcotest.(check bool) ("text has " ^ sub) true (contains sub t))
     [ "store.reads"; "op.get.accesses"; "names.held" ]
 
-(* ----- Store.observed: per-register-group counters ----- *)
+(* ----- Store.observed_into: per-register-group counters ----- *)
 
 let test_observed_groups () =
   let layout = Layout.create () in
@@ -367,7 +367,7 @@ let test_observed_groups () =
   let mem = Store.seq_create layout in
   let r = Obs.Registry.create () in
   let sh = Obs.Registry.shard r in
-  let ops = Store.observed sh (Store.seq_ops mem ~pid:1) in
+  let ops = Store.observed_into (Store.tally ()) sh (Store.seq_ops mem ~pid:1) in
   ignore (ops.read a.(0));
   ignore (ops.read a.(3));
   ops.write a.(1) 5;
@@ -384,22 +384,93 @@ let test_observed_groups () =
   Alcotest.(check int) "total rmws" 1 (counter "store.rmws");
   Alcotest.(check string) "group strips the index" "A" (Store.group a.(2))
 
-(* Store.counter is backed by the same Obs counters the registry uses,
-   so the per-op tallies and any grouped series can never drift. *)
+(* The tally is the one access ledger: the total-only [tallying]
+   wrapper and the grouped [observed_into] wrapper count the same
+   accesses, and an rmw is one access in both. *)
 let test_counting_cannot_drift () =
   let layout = Layout.create () in
   let c = Layout.alloc layout ~name:"c" 0 in
   let mem = Store.seq_create layout in
-  let cnt = Store.counter () in
-  let ops = Store.counting cnt (Store.seq_ops mem ~pid:1) in
-  ignore (ops.read c);
-  ops.write c 1;
-  ignore (ops.rmw c (fun v -> v));
-  Alcotest.(check int) "reads" 1 (Store.reads cnt);
-  Alcotest.(check int) "writes (rmw tallies as write)" 2 (Store.writes cnt);
-  Alcotest.(check int) "accesses" 3 (Store.accesses cnt);
-  Store.reset cnt;
-  Alcotest.(check int) "reset" 0 (Store.accesses cnt)
+  let r = Obs.Registry.create () in
+  let sh = Obs.Registry.shard r in
+  let plain = Store.tally () and grouped = Store.tally () in
+  let run ops =
+    ignore (ops.Store.read c);
+    ops.write c 1;
+    ignore (ops.rmw c (fun v -> v))
+  in
+  run (Store.tallying plain (Store.seq_ops mem ~pid:1));
+  run (Store.observed_into grouped sh (Store.seq_ops mem ~pid:1));
+  Alcotest.(check int) "tallying total" 3 (Store.tally_total plain);
+  Alcotest.(check int) "observed_into total" 3 (Store.tally_total grouped);
+  let snap = Obs.Registry.snapshot r in
+  let counter name = Option.value ~default:0 (List.assoc_opt name snap.counters) in
+  Alcotest.(check int) "grouped series sum to the total" (Store.tally_total grouped)
+    (counter "store.reads.c" + counter "store.writes.c" + counter "store.rmws.c");
+  Alcotest.(check int) "the rmw is one access" 1 (counter "store.rmws.c");
+  Store.tally_mark plain;
+  Alcotest.(check int) "mark" 0 (Store.tally_since plain)
+
+(* ----- the shared operation recorder ----- *)
+
+(* A SPLIT cycle on the sequential store through the recorder the
+   domain runner uses: one count, one histogram observation and one
+   span per operation, the histogram's exact max equal to the tally's
+   per-get count, and no allocation per record. *)
+let test_op_recorder () =
+  let layout = Layout.create () in
+  let sp = Renaming.Split.create layout ~k:4 in
+  let mem = Store.seq_create layout in
+  let r = Obs.Registry.create () in
+  let ins =
+    Runtime.Domain_runner.instrument ~registry:(Some r) ~ring:None ~pid:7
+      (Store.seq_ops mem ~pid:7)
+  in
+  let cycles = 25 in
+  let get_max = ref 0 in
+  for _ = 1 to cycles do
+    Store.tally_mark ins.tally;
+    let lease = Renaming.Split.get_name sp ins.ops in
+    get_max := max !get_max (Store.tally_since ins.tally);
+    ins.got (Renaming.Split.name_of sp lease);
+    Store.tally_mark ins.tally;
+    Renaming.Split.release_name sp ins.ops lease;
+    ins.released ()
+  done;
+  let snap = Obs.Registry.snapshot r in
+  let counter name = Option.value ~default:0 (List.assoc_opt name snap.counters) in
+  Alcotest.(check int) "op.get.count = cycles" cycles (counter "op.get.count");
+  Alcotest.(check int) "op.release.count = cycles" cycles (counter "op.release.count");
+  let get_h = List.assoc "op.get.accesses" snap.histograms in
+  Alcotest.(check bool) "a get costs accesses" true (!get_max > 0);
+  Alcotest.(check int) "op.get.accesses p100 = the tally's per-get count" !get_max
+    get_h.p100;
+  Alcotest.(check int) "one span per operation" (2 * cycles) (List.length snap.spans);
+  Alcotest.(check (list string))
+    "spans alternate get/release"
+    (List.concat (List.init cycles (fun _ -> [ "get"; "release" ])))
+    (List.map (fun (sp : Obs.Span.t) -> sp.name) snap.spans);
+  List.iter
+    (fun (sp : Obs.Span.t) ->
+      Alcotest.(check int) "span window = its accesses" sp.accesses
+        (sp.end_step - sp.start_step))
+    snap.spans;
+  (* recording allocates nothing: 10k records cost less than one word
+     each (the slack is Gc.minor_words' own boxed result) *)
+  let op = Obs.Registry.op (Obs.Registry.shard r) "get" in
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Obs.Registry.record op ~pid:7 ~start_step:i ~end_step:(i + 3) ~accesses:3
+      ~annotations:[]
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to n do
+    ins.released ()
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check bool) "Registry.record allocates nothing" true (w1 -. w0 < 100.);
+  Alcotest.(check bool) "a runner release record allocates nothing" true (w2 -. w1 < 100.)
 
 (* ----- schema parity: simulator vs Domain_runner ----- *)
 
@@ -525,6 +596,7 @@ let () =
           Alcotest.test_case "observed groups" `Quick test_observed_groups;
           Alcotest.test_case "counting cannot drift" `Quick test_counting_cannot_drift;
         ] );
+      ("recorder", [ Alcotest.test_case "one record per operation" `Quick test_op_recorder ]);
       ( "domains",
         [
           Alcotest.test_case "schema parity with the simulator" `Quick test_schema_parity;

@@ -69,10 +69,10 @@ let test_cost_bound () =
       let layout, ot = make ~k in
       let costs = ref [] in
       let body (ops : Store.ops) =
-        let c = Store.counter () in
-        let counted = Store.counting c ops in
+        let c = Store.tally () in
+        let counted = Store.tallying c ops in
         let name = One_time.get_name ot counted in
-        costs := Store.accesses c :: !costs;
+        costs := Store.tally_since c :: !costs;
         Sim.Sched.emit (Sim.Event.Acquired name)
       in
       List.iter

@@ -106,6 +106,59 @@ let test_double_release_rejected () =
         (fun () -> Server.release t c ~token:g.token)
   | _ -> Alcotest.fail "not granted"
 
+let test_foreign_token_rejected () =
+  let t = Server.create (cfg ~clients:2 ()) in
+  let c0 = Server.client t 0 and c1 = Server.client t 1 in
+  let not_held = Invalid_argument "Server.release: not a token this client holds" in
+  Alcotest.check_raises "in-range token never granted" not_held (fun () ->
+      Server.release t c0 ~token:0);
+  match Server.acquire t c0 ~src:5 with
+  | Server.Granted g ->
+      Alcotest.check_raises "another client's token" not_held (fun () ->
+          Server.release t c1 ~token:g.token);
+      Server.release t c0 ~token:g.token
+  | _ -> Alcotest.fail "not granted"
+
+(* A client declared dead that resyncs (here through [flush]) before
+   it releases: each retired token is counted as fenced and absorbed,
+   and the one already re-granted to another client is left alone. *)
+let test_fenced_release_after_resync () =
+  let config = cfg ~shards:1 ~k:4 ~warm:2 ~clients:2 ~s:64 () in
+  let t = Server.create config in
+  let a = Server.client t 0 and b = Server.client t 1 in
+  let grant c src =
+    match Server.acquire t c ~src with
+    | Server.Granted g -> g.token
+    | _ -> Alcotest.fail "not granted"
+  in
+  let t5 = grant a 5 and t6 = grant a 6 in
+  for _ = 1 to config.Server.resilience.Server.lease_ttl + 1 do
+    Server.scan t b
+  done;
+  let rs = Server.resilience_stats t in
+  Alcotest.(check int) "a declared dead" 1 rs.Server.deaths;
+  Alcotest.(check int) "both leases reclaimed" 2 rs.Server.reclaimed;
+  Server.flush t a;
+  (* the freelist hands one retired slot straight to b *)
+  let tb = grant b 5 in
+  Alcotest.(check bool) "b now holds one of a's old slots" true (tb = t5 || tb = t6);
+  let fenced0 = (Server.client_stats a).Server.fenced in
+  Server.release t a ~token:t5;
+  Server.release t a ~token:t6;
+  Alcotest.(check int) "both releases fenced" (fenced0 + 2)
+    (Server.client_stats a).Server.fenced;
+  Alcotest.(check int) "b's lease untouched" 1 (Server.outstanding t);
+  Server.release t b ~token:tb;
+  Server.flush t b;
+  Alcotest.(check int) "b's release is not fenced" 0 (Server.client_stats b).Server.fenced;
+  Alcotest.(check int) "all returned" 0 (Server.outstanding t);
+  Alcotest.check_raises "a fenced token cannot be released twice"
+    (Invalid_argument "Server.release: not a token this client holds") (fun () ->
+      Server.release t a ~token:t5);
+  let r = Agg.result ~reclaimed:rs.Server.reclaimed (Server.scoreboard t) in
+  Alcotest.(check int) "no violations" 0 r.Agg.violations;
+  Alcotest.(check int) "no leaks" 0 r.Agg.leaked
+
 (* --- the slab: shard [sh] serves tokens from [sh*k, (sh+1)*k) only --- *)
 
 let test_shard_slab_ranges () =
@@ -468,6 +521,7 @@ let () =
           Alcotest.test_case "busy and shed" `Quick test_busy_and_shed;
           Alcotest.test_case "batched drain" `Quick test_batch_drain;
           Alcotest.test_case "double release rejected" `Quick test_double_release_rejected;
+          Alcotest.test_case "never-granted token rejected" `Quick test_foreign_token_rejected;
           Alcotest.test_case "each shard grants from its own slab range" `Quick
             test_shard_slab_ranges;
           Alcotest.test_case "registry mirrors client counters" `Quick
@@ -482,6 +536,8 @@ let () =
         ] );
       ( "resilience",
         [
+          Alcotest.test_case "fenced release after resync" `Quick
+            test_fenced_release_after_resync;
           Alcotest.test_case "crashed client reclaimed" `Quick
             test_reclaim_crashed_client;
           Alcotest.test_case "drain vs reclaim exactly-once" `Quick

@@ -36,16 +36,19 @@ let test_counting () =
   let l = Layout.create () in
   let a = Layout.alloc l 0 in
   let mem = Store.seq_create l in
-  let c = Store.counter () in
-  let ops = Store.counting c (Store.seq_ops mem ~pid:0) in
+  let t = Store.tally () in
+  let ops = Store.tallying t (Store.seq_ops mem ~pid:0) in
   ops.write a 1;
   let (_ : int) = ops.read a in
   let (_ : int) = ops.read a in
-  Alcotest.(check int) "reads" 2 (Store.reads c);
-  Alcotest.(check int) "writes" 1 (Store.writes c);
-  Alcotest.(check int) "accesses" 3 (Store.accesses c);
-  Store.reset c;
-  Alcotest.(check int) "reset" 0 (Store.accesses c)
+  Alcotest.(check int) "accesses" 3 (Store.tally_since t);
+  Alcotest.(check int) "old value" 1 (ops.rmw a (fun v -> v + 1));
+  Alcotest.(check int) "an rmw is one access" 4 (Store.tally_since t);
+  Store.tally_mark t;
+  Alcotest.(check int) "mark" 0 (Store.tally_since t);
+  ignore (ops.read a : int);
+  Alcotest.(check int) "since the mark" 1 (Store.tally_since t);
+  Alcotest.(check int) "total never resets" 5 (Store.tally_total t)
 
 let prop_layout_initials =
   Test_util.qtest "initial_values reflects every alloc"

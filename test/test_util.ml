@@ -59,18 +59,18 @@ let protocol_cycles (type a l)
 let protocol_cycles_counted (type a l)
     (module P : Renaming.Protocol.S with type t = a and type lease = l) (inst : a) ~work
     ~cycles ~get_costs ~rel_costs (ops : Shared_mem.Store.ops) =
-  let c = Shared_mem.Store.counter () in
-  let counted = Shared_mem.Store.counting c ops in
+  let c = Shared_mem.Store.tally () in
+  let counted = Shared_mem.Store.tallying c ops in
   for _ = 1 to cycles do
-    Shared_mem.Store.reset c;
+    Shared_mem.Store.tally_mark c;
     let lease = P.get_name inst counted in
-    get_costs := Shared_mem.Store.accesses c :: !get_costs;
+    get_costs := Shared_mem.Store.tally_since c :: !get_costs;
     Sim.Sched.emit (Sim.Event.Acquired (P.name_of inst lease));
     ignore (ops.read work);
     Sim.Sched.emit (Sim.Event.Released (P.name_of inst lease));
-    Shared_mem.Store.reset c;
+    Shared_mem.Store.tally_mark c;
     P.release_name inst counted lease;
-    rel_costs := Shared_mem.Store.accesses c :: !rel_costs
+    rel_costs := Shared_mem.Store.tally_since c :: !rel_costs
   done
 
 (* Run [procs] under a seeded random schedule with the uniqueness
